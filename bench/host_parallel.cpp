@@ -1,26 +1,18 @@
-// Host-parallel execution bench: what does RuntimeConfig::host buy?
+// Host-parallel bench: what do more host threads buy an uncached run?
 //
-// Runs the CK34 all-vs-all *without* a PairCache, so every slave executes
-// real TM-align inline — the host-CPU-heavy configuration the parallel
-// scheduler was built for — once per host-thread setting, and reports the
-// host wall-clock next to the (necessarily identical) simulated makespan.
-// The simulated results are cross-checked byte-for-byte against the serial
-// scheduler: this bench doubles as an end-to-end determinism check at full
-// kernel weight.
+// Runs the CK34 all-vs-all through rck::run *without* a PairCache at 1, 2
+// and 4 host threads, best of three interleaved rounds per setting. With no cache, run_rckalign() first fills
+// every pair's TM-align outcome on the configured host threads (the
+// compute-ahead pre-pass), then the single-threaded fiber simulation replays
+// it. The bench reports host wall-clock next to the (necessarily identical)
+// simulated makespan, and cross-checks every result row and the obs bytes
+// (Chrome trace JSON + metrics snapshot) against the 1-thread run: it
+// doubles as an end-to-end determinism check at full kernel weight.
 //
-// Alongside wall-clock the bench records the scheduler's own concurrency
-// accounting (HostParallelStats): released width, local fast-path ops,
-// steals, handoffs, horizon renewals. Those are hardware-independent in the
-// sense that they describe how much parallelism the *scheduler* exposed,
-// so they stay meaningful on an undersubscribed host where wall-clock
-// speedup physically cannot appear.
-//
-// Writes BENCH_host_parallel.json into the working directory. On a >= 4-core
-// runner expect >= 2x wall-clock speedup at 4 host threads; on fewer cores
-// the bench still verifies determinism, records the (flat) timings, and
-// marks the JSON "undersubscribed" so downstream tooling does not read the
-// flat curve as a regression.
-#include <algorithm>
+// Writes BENCH_host_parallel.json (stamped with the host: hardware threads,
+// CPU model, compiler, build type). On a >= 4-thread host the 4-thread
+// speedup must reach kGateSpeedup; on fewer threads the bench still
+// verifies determinism and marks the JSON "undersubscribed".
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -32,31 +24,71 @@
 #include "rck/bio/dataset.hpp"
 #include "rck/harness/arg_parser.hpp"
 #include "rck/harness/tables.hpp"
-#include "rck/rckalign/app.hpp"
-#include "rck/scc/runtime.hpp"
+#include "rck/obs/metrics.hpp"
+#include "rck/obs/sink.hpp"
+#include "rck/rck.hpp"
 
 namespace {
 
 using namespace rck;
 
+/// Minimum 4-thread speedup over 1 thread, checked on hosts with >= 4
+/// hardware threads. The pre-pass is nearly all of an uncached run's host
+/// time (the replay takes tens of milliseconds), so the ideal is close to
+/// 4x; a 4-thread dev container measured 3.0x to 4.1x over seven runs, and
+/// the gate leaves room for that spread.
+constexpr double kGateSpeedup = 2.5;
+constexpr int kReps = 3;
+
 struct Point {
   int host_threads = 1;
   double wall_s = 0.0;
   double speedup = 1.0;
-  scc::HostParallelStats hp{};
 };
 
-rckalign::RckAlignRun run_once(const std::vector<bio::Protein>& dataset,
-                               int slaves, int host_threads, double& wall_s) {
-  rckalign::RckAlignOptions opts;
-  opts.slave_count = slaves;
-  opts.cache = nullptr;  // slaves run the real TM-align kernel inline
-  opts.runtime.host.threads = host_threads;
+/// The observable a bit-identity check compares: rows plus obs bytes.
+struct Observed {
+  RunResult run;
+  std::string trace_json;
+  std::string metrics_json;
+};
+
+Observed run_once(const std::vector<bio::Protein>& dataset, int slaves,
+                  int host_threads, double& wall_s) {
+  RunConfig cfg;
+  cfg.with_slaves(slaves).with_host_threads(host_threads).with_collect();
   const auto t0 = std::chrono::steady_clock::now();
-  rckalign::RckAlignRun run = rckalign::run_rckalign(dataset, opts);
+  Observed o{rck::run(dataset, cfg), {}, {}};
   wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                .count();
-  return run;
+  o.trace_json = obs::chrome_trace_json(*o.run.obs);
+  o.metrics_json = o.run.obs->snapshot().to_json();
+  return o;
+}
+
+bool identical(const Observed& a, const Observed& b) {
+  return a.run.makespan == b.run.makespan && a.run.results == b.run.results &&
+         a.run.core_reports == b.run.core_reports &&
+         a.run.network == b.run.network && a.run.events == b.run.events &&
+         a.trace_json == b.trace_json && a.metrics_json == b.metrics_json;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? std::string() : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string json_string(const std::string& s) {
+  std::string out;
+  obs::append_json_escaped(out, s);
+  return out;
 }
 
 }  // namespace
@@ -64,15 +96,11 @@ rckalign::RckAlignRun run_once(const std::vector<bio::Protein>& dataset,
 int main(int argc, char** argv) {
   int slaves = 12;
   std::string json_path = "BENCH_host_parallel.json";
-  bool force = false;
   harness::ArgParser cli("bench_host_parallel",
-                         "Wall-clock speedup of host-parallel simulation.");
+                         "Wall-clock speedup of the compute-ahead pre-pass on "
+                         "an uncached CK34 run.");
   cli.option("slaves", &slaves, "simulated slave cores")
-      .option("json", &json_path, "output path for the bench JSON")
-      .flag("force", &force,
-            "overwrite a well-subscribed result file even when this host is "
-            "undersubscribed (default: refuse, so a laptop run can't clobber "
-            "the perf-smoke runner's speedup curve)");
+      .option("json", &json_path, "output path for the bench JSON");
   try {
     if (!cli.parse(argc, argv)) return 0;
   } catch (const harness::ArgError& e) {
@@ -82,115 +110,79 @@ int main(int argc, char** argv) {
 
   const int hw = scc::HostParallelism::hardware().threads;
   const bool undersubscribed = hw < 4;
-  std::cout << "Host-parallel bench: CK34 all-vs-all, " << slaves
-            << " slaves, real TM-align kernels (no cache)\n"
-            << "Host hardware threads: " << hw << "\n";
-  if (undersubscribed) {
-    std::cout
-        << "\n"
-        << "*** WARNING: only " << hw << " hardware thread(s) available. ***\n"
-        << "*** Wall-clock speedup CANNOT materialize on this host; the  ***\n"
-        << "*** timing curve below measures scheduling overhead, not the ***\n"
-        << "*** scheduler. Re-run on a >= 4-core machine for speedups.   ***\n";
-  }
-  std::cout << "\n";
+  std::cout << "Host-parallel bench: uncached CK34 all-vs-all via rck::run, "
+            << slaves << " slaves\n"
+            << "Host hardware threads: " << hw << "\n\n";
   const auto dataset = bio::build_dataset(bio::ck34_spec());
 
-  std::vector<int> settings{1, 2, 4};
-  if (hw > 4) settings.push_back(hw);
-  settings.erase(std::unique(settings.begin(), settings.end()), settings.end());
-
-  double serial_wall = 0.0;
-  const rckalign::RckAlignRun serial = run_once(dataset, slaves, 1, serial_wall);
-
-  std::vector<Point> points{{1, serial_wall, 1.0, serial.hp}};
-  bool identical = true;
-  for (std::size_t k = 1; k < settings.size(); ++k) {
-    double wall = 0.0;
-    const rckalign::RckAlignRun run = run_once(dataset, slaves, settings[k], wall);
-    identical = identical && run.makespan == serial.makespan &&
-                run.results == serial.results &&
-                run.core_reports == serial.core_reports &&
-                run.network == serial.network && run.events == serial.events;
-    points.push_back({settings[k], wall, serial_wall / wall, run.hp});
+  // Each width's time is the best of kReps interleaved runs: this host's
+  // speed drifts in phases, and a phase can swallow one run but rarely the
+  // same width in every round.
+  double ignored = 0.0;
+  const Observed serial = run_once(dataset, slaves, 1, ignored);
+  std::vector<Point> points{{1, 0.0, 1.0}, {2, 0.0, 1.0}, {4, 0.0, 1.0}};
+  bool same = true;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (Point& p : points) {
+      double wall = 0.0;
+      same = identical(run_once(dataset, slaves, p.host_threads, wall), serial) && same;
+      if (rep == 0 || wall < p.wall_s) p.wall_s = wall;
+    }
   }
+  for (Point& p : points) p.speedup = points.front().wall_s / p.wall_s;
 
-  harness::TextTable table("Host wall-clock vs host threads (simulated results identical)");
-  table.set_columns({"host threads", "wall s", "speedup", "max width",
-                     "local ops", "steals", "handoffs", "renewals"});
+  harness::TextTable table(
+      "Host wall-clock vs host threads (rows and obs bytes identical)");
+  table.set_columns({"host threads", "wall s", "speedup"});
   for (const Point& p : points) {
     char wall[32], sp[32];
-    std::snprintf(wall, sizeof wall, "%.2f", p.wall_s);
+    std::snprintf(wall, sizeof wall, "%.3f", p.wall_s);
     std::snprintf(sp, sizeof sp, "%.2fx", p.speedup);
-    table.add_row({std::to_string(p.host_threads), wall, sp,
-                   std::to_string(p.hp.max_width),
-                   std::to_string(p.hp.local_ops),
-                   std::to_string(p.hp.steals),
-                   std::to_string(p.hp.handoffs),
-                   std::to_string(p.hp.renewals)});
+    table.add_row({std::to_string(p.host_threads), wall, sp});
   }
   table.print(std::cout);
   std::cout << "Simulated makespan: "
-            << harness::fmt_seconds(noc::to_seconds(serial.makespan))
+            << harness::fmt_seconds(noc::to_seconds(serial.run.makespan))
             << " (identical at every width)\n";
 
+  const double sp4 = points.back().speedup;
+  const bool gate_ok = undersubscribed || sp4 >= kGateSpeedup;
   std::ostringstream json;
   json << "{\n  \"bench\": \"host_parallel\",\n"
-       << "  \"dataset\": \"ck34\",\n  \"slaves\": " << slaves << ",\n"
-       << "  \"host_hardware_threads\": " << hw << ",\n"
+       << "  \"host\": {\"hardware_threads\": " << hw
+       << ", \"cpu_model\": " << json_string(cpu_model())
+       << ", \"compiler\": " << json_string(RCK_BENCH_COMPILER)
+       << ", \"build_type\": " << json_string(RCK_BENCH_BUILD_TYPE) << "},\n"
+       << "  \"dataset\": \"ck34\",\n  \"cached\": false,\n"
+       << "  \"slaves\": " << slaves << ",\n"
        << "  \"undersubscribed\": " << (undersubscribed ? "true" : "false")
-       << ",\n  \"simulated_makespan_s\": " << noc::to_seconds(serial.makespan)
-       << ",\n  \"simulated_results_identical\": " << (identical ? "true" : "false")
+       << ",\n  \"simulated_makespan_s\": " << noc::to_seconds(serial.run.makespan)
+       << ",\n  \"rows_and_obs_identical\": " << (same ? "true" : "false")
        << ",\n  \"points\": [\n";
   for (std::size_t k = 0; k < points.size(); ++k) {
     const Point& p = points[k];
     json << "    {\"host_threads\": " << p.host_threads
-         << ", \"wall_s\": " << p.wall_s
-         << ", \"speedup\": " << p.speedup
-         << ", \"max_width\": " << p.hp.max_width
-         << ", \"local_ops\": " << p.hp.local_ops
-         << ", \"steals\": " << p.hp.steals
-         << ", \"handoffs\": " << p.hp.handoffs
-         << ", \"renewals\": " << p.hp.renewals << "}"
+         << ", \"wall_s\": " << p.wall_s << ", \"speedup\": " << p.speedup << "}"
          << (k + 1 < points.size() ? ",\n" : "\n");
   }
-  json << "  ]\n}\n";
-  // An undersubscribed run must not silently replace a result recorded on a
-  // machine that could actually parallelize: the curve would degrade from a
-  // speedup measurement to a scheduling-overhead measurement without anyone
-  // noticing. Refuse unless --force.
-  if (undersubscribed && !force) {
-    std::ifstream existing(json_path);
-    if (existing) {
-      const std::string prior((std::istreambuf_iterator<char>(existing)),
-                              std::istreambuf_iterator<char>());
-      if (prior.find("\"undersubscribed\": false") != std::string::npos) {
-        std::cout << "REFUSING to overwrite " << json_path
-                  << ": it was recorded on a well-subscribed host (>= 4 "
-                     "hardware threads) and this host has "
-                  << hw << "; pass --force to overwrite anyway\n";
-        return 1;
-      }
-    }
-  }
+  json << "  ],\n  \"gate\": {\"speedup_at_4\": " << kGateSpeedup
+       << ", \"checked\": " << (undersubscribed ? "false" : "true")
+       << ", \"pass\": " << (gate_ok ? "true" : "false") << "}\n}\n";
   harness::write_file(json_path, json.str());
   std::cout << "JSON written to " << json_path << "\n";
 
-  if (!identical) {
-    std::cout << "SHAPE VIOLATION: parallel simulated results diverged from serial\n";
+  if (!same) {
+    std::cout << "SHAPE VIOLATION: rows or obs bytes differ across host threads\n";
     return 1;
   }
-  // The speedup claim only applies where the host can actually parallelize.
-  if (!undersubscribed) {
-    const double sp4 = points.back().speedup;
-    const bool ok = sp4 >= 2.0;
-    std::cout << (ok ? "SHAPE OK" : "SHAPE VIOLATION") << ": " << sp4
-              << "x wall-clock speedup at " << points.back().host_threads
-              << " host threads (>= 2x required on >= 4 cores)\n";
-    return ok ? 0 : 1;
+  if (undersubscribed) {
+    std::cout << "SHAPE SKIPPED: host has " << hw
+              << " hardware thread(s); determinism verified, speedup not "
+                 "measurable here\n";
+    return 0;
   }
-  std::cout << "SHAPE SKIPPED: host has " << hw
-            << " hardware thread(s); determinism verified, speedup not "
-               "measurable here\n";
-  return 0;
+  std::cout << (gate_ok ? "SHAPE OK" : "SHAPE VIOLATION") << ": " << sp4
+            << "x wall-clock speedup at 4 host threads (>= " << kGateSpeedup
+            << "x required)\n";
+  return gate_ok ? 0 : 1;
 }

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       .flag("gantt", &gantt, "print an ASCII per-core activity gantt")
       .flag("heatmap", &heatmap, "print the NoC link-utilization heatmap")
       .option("host-threads", &host_threads,
-              "host threads for the simulation itself (0 = all)")
+              "host threads for the compute-ahead alignment pre-pass (0 = all)")
       .flag("master-ft", &master_ft,
             "checkpointed master + standby failover (standby on rank slaves+1)")
       .option("crash-master-at", &crash_master_ms,

@@ -8,6 +8,10 @@
 //                    simulation libraries (src/scc, src/noc, src/rcce,
 //                    src/rckskel, src/chk, src/mc — replayable exploration
 //                    needs the same guarantee the simulator gives)
+//   fiber-blocking   no std::thread / jthread / mutex / condition_variable /
+//                    async in src/scc, src/noc, src/rcce, src/rckskel:
+//                    simulated cores are fibers on one thread, so a blocking
+//                    OS primitive there stalls the whole simulation
 //   throw-taxonomy   every `throw` in src/ + tools/ constructs an
 //                    *Error-suffixed class (the rck::Error taxonomy with
 //                    dotted codes) or is a bare rethrow

@@ -30,6 +30,16 @@ constexpr std::string_view kDeterminismBans[] = {
     "unordered_multiset",
 };
 
+/// Blocking OS primitives banned where simulated cores run. Every core is a
+/// fiber on the one simulation thread, so a fiber that blocks on a mutex,
+/// condition variable, thread join or future stalls the whole simulation
+/// (and usually deadlocks it: the thread it waits for can never run).
+/// Matched only when std::-qualified, since `thread`/`async` are common
+/// words in identifiers of their own.
+constexpr std::string_view kFiberBlockingBans[] = {
+    "thread", "jthread", "mutex", "condition_variable", "async",
+};
+
 /// PR 3 SIMD kernel hot-path files: allocation-free by contract
 /// (tests/core/test_alloc_free.cpp asserts it dynamically; the lint rule
 /// keeps the ban visible at review time). The round-2 batch kernel and the
@@ -79,6 +89,11 @@ bool in_determinism_scope(std::string_view path) {
   return starts_with(path, "src/scc/") || starts_with(path, "src/noc/") ||
          starts_with(path, "src/rcce/") || starts_with(path, "src/rckskel/") ||
          starts_with(path, "src/chk/") || starts_with(path, "src/mc/");
+}
+
+bool in_fiber_scope(std::string_view path) {
+  return starts_with(path, "src/scc/") || starts_with(path, "src/noc/") ||
+         starts_with(path, "src/rcce/") || starts_with(path, "src/rckskel/");
 }
 
 bool is_hot_path(std::string_view path) {
@@ -197,6 +212,28 @@ void check_determinism(std::string_view path,
         out.push_back({std::string(path), ln, "determinism",
                        "wall-clock call " + std::string(ban) +
                            "() banned in simulation libraries"});
+      }
+    }
+  }
+}
+
+void check_fiber_blocking(std::string_view path,
+                          const std::vector<std::string_view>& lines,
+                          const Waivers& waivers, std::vector<Finding>& out) {
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const int ln = static_cast<int>(li) + 1;
+    const std::string_view line = lines[li];
+    for (std::string_view ban : kFiberBlockingBans) {
+      for (std::size_t col : find_ident(line, ban)) {
+        const bool std_qualified =
+            col >= 5 && line.substr(col - 5, 5) == "std::" &&
+            (col == 5 || !is_ident(line[col - 6]));
+        if (!std_qualified || waivers.allows(ln, "fiber-blocking")) continue;
+        out.push_back({std::string(path), ln, "fiber-blocking",
+                       "std::" + std::string(ban) +
+                           " banned where simulated cores run: cores are "
+                           "fibers on one thread, so a blocking OS primitive "
+                           "stalls the whole simulation (see DESIGN.md)"});
       }
     }
   }
@@ -609,6 +646,7 @@ std::vector<std::string> rules_for(std::string_view repo_rel_path) {
        repo_rel_path.ends_with(".h") || repo_rel_path.ends_with(".cc"));
   if (!is_source) return rules;
   if (in_determinism_scope(repo_rel_path)) rules.emplace_back("determinism");
+  if (in_fiber_scope(repo_rel_path)) rules.emplace_back("fiber-blocking");
   rules.emplace_back("throw-taxonomy");
   rules.emplace_back("error-codes");
   if (is_hot_path(repo_rel_path)) rules.emplace_back("hot-path-alloc");
@@ -633,6 +671,8 @@ std::vector<Finding> lint_file(std::string_view repo_rel_path,
   };
   if (has("determinism"))
     check_determinism(repo_rel_path, code_lines, waivers, out);
+  if (has("fiber-blocking"))
+    check_fiber_blocking(repo_rel_path, code_lines, waivers, out);
   if (has("throw-taxonomy"))
     check_throw_taxonomy(repo_rel_path, stripped, waivers, out);
   if (has("error-codes"))

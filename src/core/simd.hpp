@@ -4,7 +4,7 @@
 // lanes, and every kernel in simd_kernels_impl.hpp is a template over the
 // lane type — so the AVX2 build and the scalar fallback execute the same
 // per-element operations in the same order and produce bit-identical
-// results. That is the determinism contract the host-parallel scheduler and
+// results. That is the determinism contract the compute-ahead pre-pass and
 // the SIMD-vs-scalar tests rely on; widening the logical vector width would
 // change reduction order and break it. Only the simd_kernels*.cpp TUs may
 // include this header (the AVX2 one is the only TU compiled with -mavx2,

@@ -1,6 +1,6 @@
 // rck::mc — stateless model checking for the deterministic SCC simulator.
 //
-// The serial scheduler (src/scc/runtime.cpp) is deterministic: ready cores
+// The scheduler (src/scc/runtime.cpp) is deterministic: ready cores
 // are admitted lowest-(vtime, rank) first and same-instant events fire in
 // schedule order. Nondeterminism in the *real* system corresponds to exactly
 // two kinds of decision points in the simulator:
@@ -168,8 +168,8 @@ std::optional<Violation> check_protocol_log(const std::vector<ProtoEvent>& log);
 ///    must match the scripted kind and arity exactly, and
 ///    verify_replay_complete() checks the run consumed the whole script.
 ///
-/// Thread safety: none needed — mc forces the serial scheduler, and all
-/// calls happen under the scheduler lock on one thread at a time.
+/// Thread safety: none needed — the runtime's scheduler and its fibers all
+/// run on one thread, one at a time.
 class Session {
  public:
   /// Exploration mode. `prefix[i]` is the alternative to take at decision

@@ -1,7 +1,7 @@
 // rck::obs metrics: counters, gauges and log2-bucket histograms.
 //
 // Metrics are recorded into per-shard slots (one shard per simulated core
-// plus one "system" shard for code running under the scheduler lock) and
+// plus one "system" shard for code running in the scheduler) and
 // merged deterministically at report time: counters and histograms sum in
 // shard order, gauges resolve last-write-wins by (timestamp, shard). The
 // hot path is allocation-free: every metric is a fixed slot in arrays sized
@@ -48,7 +48,7 @@ using Ts = std::uint64_t;
 /// doubles use %.17g (round-trips exactly, locale-independent for the
 /// values we emit), u64 avoids the double-precision integer cliff entirely.
 /// Equal values produce equal bytes, which is what the byte-identity
-/// contracts (serial vs host-parallel) are built on.
+/// contracts (replays, host thread counts) are built on.
 void append_json_double(std::string& out, double v);
 void append_json_u64(std::string& out, std::uint64_t v);
 /// JSON string literal with the usual escapes (quotes, backslash, control

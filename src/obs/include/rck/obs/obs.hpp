@@ -2,18 +2,17 @@
 //
 // One Recorder lives for the duration of a simulated run. It is sharded:
 // shard r belongs to simulated core r, and one trailing "system" shard
-// belongs to code that runs under the scheduler's serialization (network
-// link bookkeeping, event-queue callbacks). The contract that makes this
-// safe AND deterministic without any locking:
+// belongs to code that runs in the scheduler (network link bookkeeping,
+// event-queue callbacks). The contract that makes this safe AND
+// deterministic without any locking:
 //
-//   * exactly one host thread writes a given shard at any moment (a core's
-//     shard is written by its program thread, or by the scheduler while all
-//     program threads are parked; the system shard is only written under
-//     the scheduler lock);
+//   * one writer at a time: the scheduler and every core's fiber run on one
+//     host thread, one at a time (a core's shard is written by its fiber,
+//     or by the scheduler while that fiber is suspended);
 //   * every record carries its simulated timestamp, and the merged view is
 //     ordered by (ts, shard, per-shard sequence) — all three components are
-//     pure simulation observables, so serial and host-parallel executions
-//     of the same run produce byte-identical merged output.
+//     pure simulation observables, so runs of the same configuration at any
+//     host thread count produce byte-identical merged output.
 //
 // When no observability is configured, SpmdRuntime never constructs a
 // Recorder and every hook short-circuits on a null Handle — the simulated

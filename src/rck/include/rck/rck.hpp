@@ -76,9 +76,8 @@ struct ServiceLimits {
 };
 
 /// Bounded systematic schedule exploration (rck::mc) switches, consumed by
-/// rck::mc_explore() / rck::mc_replay(). Like chk, an active mc session
-/// forces the serial scheduler, and the canonical (all-zeros) schedule is
-/// bit-identical to an mc-off run.
+/// rck::mc_explore() / rck::mc_replay(). The canonical (all-zeros) schedule
+/// of an active mc session is bit-identical to an mc-off run.
 struct McConfig {
   /// Master switch for mc_explore(); rck::run() ignores it.
   bool enable = false;

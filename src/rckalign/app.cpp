@@ -38,7 +38,18 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
         "run_rckalign: batched grants require the plain farm (the "
         "fault-tolerant farms lease and retry individual jobs)");
 
+  // Compute-ahead: without a caller-supplied cache, fill every pair's
+  // TM-align outcome on the configured host threads first, then let the
+  // slaves replay it. Replay charges exactly the cycles an inline alignment
+  // would, so only host wall-clock changes. The master's LPT cost hints keep
+  // following the caller's cache, so job order is unchanged too.
   const PairCache* cache = opts.cache;
+  PairCache ahead;
+  const PairCache* replay = cache;
+  if (replay == nullptr && opts.method == Method::TmAlign) {
+    ahead = PairCache::build(dataset, opts.runtime.host.threads);
+    replay = &ahead;
+  }
   RckAlignRun run;
   scc::SpmdRuntime rt(opts.runtime);
 
@@ -163,16 +174,16 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
       // to the solo path below; see execute_pair_batch).
       core::BatchWorkspace batch_ws;  // per-slave, reused across grants
       const rckskel::BatchWorker worker =
-          [cache, &batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                             std::vector<bio::Bytes>& out) {
-            detail::execute_pair_batch(c, jobs, cache, batch_ws, out);
+          [replay, &batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
+                              std::vector<bio::Bytes>& out) {
+            detail::execute_pair_batch(c, jobs, replay, batch_ws, out);
           };
       rckskel::farm_slave_batch(comm, kMaster, worker);
     } else {
       core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      const rckskel::Worker worker = [cache, &tm_ws](rcce::Comm& c,
-                                                     const bio::Bytes& payload) {
-        return detail::execute_pair_job(c, payload, cache, &tm_ws);
+      const rckskel::Worker worker = [replay, &tm_ws](rcce::Comm& c,
+                                                      const bio::Bytes& payload) {
+        return detail::execute_pair_job(c, payload, replay, &tm_ws);
       };
       if (opts.master_ft) {
         rckskel::MasterFtOptions m = master_ft_options();
@@ -200,7 +211,6 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
   run.events = rt.events_fired();
   run.obs = rt.obs();
   run.chk = rt.chk();
-  run.hp = rt.host_parallel_stats();
   // obs forces the runtime's internal trace on (to derive per-core lanes),
   // so the trace/heatmap fields follow either switch.
   if (opts.runtime.enable_trace || run.obs != nullptr) {

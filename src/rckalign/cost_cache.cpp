@@ -1,51 +1,61 @@
 #include "rck/rckalign/cost_cache.hpp"
 #include "rck/rckalign/error.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <stdexcept>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 namespace rck::rckalign {
 
-std::size_t PairCache::tri_index(std::uint32_t i, std::uint32_t j, std::size_t n) {
-  if (i == j || i >= n || j >= n)
-    throw AlignError("PairCache: bad pair indices");
-  if (i > j) std::swap(i, j);
-  // Index of (i, j), i < j, in row-major upper-triangle enumeration.
-  return static_cast<std::size_t>(j) * (j - 1) / 2 + i;
-}
-
 PairCache PairCache::build(const std::vector<bio::Protein>& dataset, int host_threads,
                            const core::TmAlignOptions& opts) {
-  PairCache cache;
-  cache.n_ = dataset.size();
-  const std::size_t pairs = cache.n_ * (cache.n_ - 1) / 2;
-  cache.entries_.resize(pairs);
+  std::vector<const bio::Protein*> table;
+  table.reserve(dataset.size());
+  for (const bio::Protein& p : dataset) table.push_back(&p);
+  const std::size_t n = dataset.size();
+  std::vector<Key> keys;
+  keys.reserve(n < 2 ? 0 : n * (n - 1) / 2);
+  for (std::uint32_t i = 0; i + 1 < n; ++i)
+    for (std::uint32_t j = i + 1; j < n; ++j) keys.emplace_back(i, j);
+  return build(table, std::move(keys), host_threads, opts);
+}
 
-  // Flatten the (i < j) enumeration so threads can grab work by index.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> index(pairs);
-  {
-    std::size_t k = 0;
-    for (std::uint32_t j = 1; j < cache.n_; ++j)
-      for (std::uint32_t i = 0; i < j; ++i) index[k++] = {i, j};
-  }
+PairCache PairCache::build(std::span<const bio::Protein* const> structures,
+                           std::vector<Key> keys, int host_threads,
+                           const core::TmAlignOptions& opts) {
+  PairCache cache;
+  cache.n_ = structures.size();
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const auto& [a, b] : keys)
+    if (a >= structures.size() || b >= structures.size() ||
+        structures[a] == nullptr || structures[b] == nullptr)
+      throw AlignError("PairCache: key outside the structure table");
+  cache.keys_ = std::move(keys);
+  const std::size_t pairs = cache.keys_.size();
+  cache.entries_.resize(pairs);
 
   unsigned nthreads = host_threads > 0 ? static_cast<unsigned>(host_threads)
                                        : std::thread::hardware_concurrency();
-  if (nthreads == 0) nthreads = 1;
-  nthreads = std::min<unsigned>(nthreads, pairs == 0 ? 1 : static_cast<unsigned>(pairs));
+  nthreads = std::clamp<unsigned>(nthreads, 1,
+                                  pairs == 0 ? 1 : static_cast<unsigned>(pairs));
 
+  // Workers claim entries by index; each writes only its own entries, so
+  // the table is the same whichever thread computed what.
   std::atomic<std::size_t> next{0};
   std::exception_ptr error;
   std::mutex error_m;
-  auto work = [&] {
+  const auto work = [&] {
     try {
-      core::TmAlignWorkspace ws;  // per-thread: the lambda body runs once per thread
+      core::TmAlignWorkspace ws;  // per thread, reused across its pairs
       for (;;) {
         const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
         if (k >= pairs) return;
-        const auto [i, j] = index[k];
-        const core::TmAlignResult& r = core::tmalign(dataset[i], dataset[j], ws, opts);
+        const bio::Protein& a = *structures[cache.keys_[k].first];
+        const bio::Protein& b = *structures[cache.keys_[k].second];
+        const core::TmAlignResult& r = core::tmalign(a, b, ws, opts);
         PairEntry& e = cache.entries_[k];
         e.tm_norm_a = r.tm_norm_a;
         e.tm_norm_b = r.tm_norm_b;
@@ -53,25 +63,37 @@ PairCache PairCache::build(const std::vector<bio::Protein>& dataset, int host_th
         e.seq_identity = r.seq_identity;
         e.aligned_length = static_cast<std::uint32_t>(r.aligned_length);
         e.stats = r.stats;
-        e.footprint_bytes = scc::CoreTimingModel::alignment_footprint(
-            dataset[i].size(), dataset[j].size());
+        e.footprint_bytes =
+            scc::CoreTimingModel::alignment_footprint(a.size(), b.size());
       }
     } catch (...) {
       std::lock_guard lock(error_m);
       if (!error) error = std::current_exception();
+      next.store(pairs, std::memory_order_relaxed);  // stop the others early
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(nthreads);
-  for (unsigned t = 0; t < nthreads; ++t) threads.emplace_back(work);
-  for (std::thread& t : threads) t.join();
+  std::vector<std::thread> helpers;
+  helpers.reserve(nthreads - 1);
+  for (unsigned t = 1; t < nthreads; ++t) helpers.emplace_back(work);
+  work();  // the calling thread is worker 0
+  for (std::thread& t : helpers) t.join();
   if (error) std::rethrow_exception(error);
   return cache;
 }
 
-const PairEntry& PairCache::at(std::uint32_t i, std::uint32_t j) const {
-  return entries_[tri_index(i, j, n_)];
+const PairEntry* PairCache::find(std::uint32_t a, std::uint32_t b) const noexcept {
+  const Key key{a, b};
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) return nullptr;
+  return &entries_[static_cast<std::size_t>(it - keys_.begin())];
+}
+
+const PairEntry& PairCache::at(std::uint32_t a, std::uint32_t b) const {
+  if (const PairEntry* e = find(a, b)) return *e;
+  if (const PairEntry* e = find(b, a)) return *e;
+  throw AlignError("PairCache: no entry for pair (" + std::to_string(a) + ", " +
+                   std::to_string(b) + ")");
 }
 
 std::uint64_t PairCache::total_cycles(const scc::CoreTimingModel& model) const {

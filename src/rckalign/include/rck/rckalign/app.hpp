@@ -34,8 +34,11 @@ struct RckAlignOptions {
   int slave_count = 47;
   /// Chip / network / core-model configuration for the simulation.
   scc::RuntimeConfig runtime{};
-  /// Pairwise results + costs computed up front; if null, slaves execute
-  /// real TM-align inline (identical simulated times, more host CPU).
+  /// Pairwise results + costs computed up front (also the source of the
+  /// master's exact LPT cost hints). If null and `method` is TM-align,
+  /// run_rckalign() builds one itself on runtime.host.threads host threads
+  /// before simulating (compute-ahead); the simulated run is identical
+  /// either way.
   const PairCache* cache = nullptr;
   /// Comparison method for all jobs.
   Method method = Method::TmAlign;
@@ -102,9 +105,6 @@ struct RckAlignRun {
   /// Race checker (null unless opts.runtime.chk is active). Kept alive past
   /// the runtime so callers can inspect reports() / write report_json().
   std::shared_ptr<chk::Checker> chk;
-  /// Host-parallel scheduler accounting (all zero in serial mode). Wall-
-  /// clock dependent — a concurrency diagnostic, never a simulated result.
-  scc::HostParallelStats hp{};
 };
 
 /// Run the all-vs-all task over `dataset` on the simulated SCC.

@@ -42,9 +42,10 @@ struct PairSpec {
 };
 
 /// Farm configuration for a pair-set run: the scheduling/resilience subset
-/// of RckAlignOptions (no cache — pair sets are for live queries; cached
-/// replay stays with run_rckalign). Prefer deriving this from a validated
-/// rck::RunConfig via RunConfig::to_pairs_options().
+/// of RckAlignOptions. There is no cache field: run_pairs() always computes
+/// its TM-align specs ahead on runtime.host.threads host threads and replays
+/// them. Prefer deriving this from a validated rck::RunConfig via
+/// RunConfig::to_pairs_options().
 struct PairsOptions {
   int slave_count = 47;
   scc::RuntimeConfig runtime{};
@@ -88,10 +89,12 @@ struct PairsRun {
   std::shared_ptr<obs::Recorder> obs;
   /// Race checker (null unless opts.runtime.chk is active).
   std::shared_ptr<chk::Checker> chk;
-  scc::HostParallelStats hp{};
 };
 
-/// Execute every spec over the structure table on the simulated SCC.
+/// Execute every spec over the structure table on the simulated SCC. The
+/// TM-align specs' outcomes are first computed on runtime.host.threads host
+/// threads (a PairCache over the ordered (a, b) keys); the simulation then
+/// replays them, so the thread count changes wall-clock time only.
 ///
 /// `structures` entries must be non-null and outlive the call. `wires`,
 /// when non-empty, must parallel `structures`; a non-null wires[k] is the

@@ -26,8 +26,8 @@ namespace rck::rckalign::detail {
 ///
 /// `tm_ws`, when non-null, is the slave's reusable TM-align workspace:
 /// passing one keeps the steady state allocation-free across jobs. Each
-/// simulated core must own its own instance (host-parallel mode runs cores
-/// on concurrent threads).
+/// simulated core owns its own instance, like the per-core memory it
+/// models.
 inline bio::Bytes execute_pair_job(rcce::Comm& comm, const bio::Bytes& payload,
                                    const PairCache* cache,
                                    core::TmAlignWorkspace* tm_ws = nullptr) {

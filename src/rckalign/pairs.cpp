@@ -44,6 +44,16 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const bio::Bytes* const> wires) {
   validate_inputs(structures, specs, opts, wires);
 
+  // Compute-ahead: fill every TM-align spec's outcome, keyed by its exact
+  // ordered (a, b), on the configured host threads; the slaves then replay
+  // the table, charging exactly the cycles an inline alignment would.
+  std::vector<PairCache::Key> keys;
+  keys.reserve(specs.size());
+  for (const PairSpec& s : specs)
+    if (s.method == Method::TmAlign) keys.emplace_back(s.a, s.b);
+  const PairCache ahead =
+      PairCache::build(structures, std::move(keys), opts.runtime.host.threads);
+
   PairsRun run;
   scc::SpmdRuntime rt(opts.runtime);
 
@@ -156,17 +166,16 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
     } else if (opts.batch > 1) {
       core::BatchWorkspace batch_ws;  // per-slave, reused across grants
       const rckskel::BatchWorker worker =
-          [&batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                      std::vector<bio::Bytes>& out) {
-            detail::execute_pair_batch(c, jobs, /*cache=*/nullptr, batch_ws,
-                                       out);
+          [&ahead, &batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
+                              std::vector<bio::Bytes>& out) {
+            detail::execute_pair_batch(c, jobs, &ahead, batch_ws, out);
           };
       rckskel::farm_slave_batch(comm, kMaster, worker);
     } else {
       core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      const rckskel::Worker worker = [&tm_ws](rcce::Comm& c,
-                                              const bio::Bytes& payload) {
-        return detail::execute_pair_job(c, payload, /*cache=*/nullptr, &tm_ws);
+      const rckskel::Worker worker = [&ahead, &tm_ws](rcce::Comm& c,
+                                                      const bio::Bytes& payload) {
+        return detail::execute_pair_job(c, payload, &ahead, &tm_ws);
       };
       if (opts.master_ft) {
         rckskel::MasterFtOptions m = master_ft_options();
@@ -194,7 +203,6 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   run.network = rt.network_stats();
   run.obs = rt.obs();
   run.chk = rt.chk();
-  run.hp = rt.host_parallel_stats();
   return run;
 }
 

@@ -55,8 +55,10 @@ enum class MsgType : std::uint8_t {
   BatchResult = 8,
 };
 
-/// FNV-1a 32-bit checksum over `data`, as carried in every protocol frame.
-/// Exposed so tests (and the fault injector) can craft or verify frames.
+/// 32-bit FNV-style checksum over `data` (word-at-a-time, eight lanes,
+/// length mixed in), as carried in every protocol frame. Any single-byte
+/// change alters it. Exposed so tests (and the fault injector) can craft or
+/// verify frames.
 std::uint32_t wire_checksum(std::span<const std::byte> data) noexcept;
 
 /// Encode the skeleton-protocol messages. Every frame is

@@ -4,97 +4,128 @@ namespace rck::rckskel {
 
 namespace {
 
-/// Prefix the body with its checksum to form a complete wire frame.
-bio::Bytes seal(const bio::Bytes& body) {
+std::uint32_t load_le32(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Start a frame of `type` with its checksum slot reserved, so the frame is
+/// written exactly once and seal() fills the slot in place.
+bio::WireWriter frame(MsgType type) {
   bio::WireWriter w;
-  w.u32(wire_checksum(body));
-  w.raw(body);
-  return w.take();
+  w.u32(0);
+  w.u8(static_cast<std::uint8_t>(type));
+  return w;
+}
+
+/// Finish a frame: checksum everything after the slot and store it there
+/// (little-endian, as WireWriter::u32 would).
+bio::Bytes seal(bio::WireWriter& w) {
+  bio::Bytes f = w.take();
+  const std::uint32_t c = wire_checksum(std::span<const std::byte>(f).subspan(4));
+  for (std::size_t k = 0; k < 4; ++k) f[k] = static_cast<std::byte>(c >> (8 * k));
+  return f;
 }
 
 }  // namespace
 
 std::uint32_t wire_checksum(std::span<const std::byte> data) noexcept {
-  // FNV-1a: cheap, deterministic, and sensitive to single-bit flips — enough
-  // to catch the simulator's injected corruption (this is an error-detection
-  // code, not a cryptographic one).
-  std::uint32_t h = 2166136261u;
-  for (const std::byte b : data) {
-    h ^= static_cast<std::uint32_t>(b);
-    h *= 16777619u;
-  }
+  // FNV-style, a word at a time: eight lanes each absorb every eighth
+  // little-endian 32-bit word, then the lanes, the tail and the length fold
+  // into one state. Every step is h = (h ^ x) * odd, a bijection of h for a
+  // fixed x, so changing any single byte always changes the result; the
+  // lanes keep eight multiply chains in flight where byte-serial FNV-1a had
+  // one dependent multiply per byte. This is an error-detection code for the
+  // simulator's injected corruption, not a cryptographic one.
+  constexpr std::uint32_t kPrime = 16777619u;  // the FNV-1a 32-bit prime
+  constexpr std::uint32_t kBasis = 2166136261u;
+  constexpr std::size_t kLanes = 8;
+  std::uint32_t lane[kLanes];
+  for (std::size_t k = 0; k < kLanes; ++k)
+    lane[k] = kBasis + static_cast<std::uint32_t>(k);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 4 * kLanes; p += 4 * kLanes, n -= 4 * kLanes)
+    for (std::size_t k = 0; k < kLanes; ++k)
+      lane[k] = (lane[k] ^ load_le32(p + 4 * k)) * kPrime;
+  std::uint32_t h = kBasis;
+  for (const std::uint32_t l : lane) h = (h ^ l) * kPrime;
+  for (; n >= 4; p += 4, n -= 4) h = (h ^ load_le32(p)) * kPrime;
+  for (; n > 0; ++p, --n) h = (h ^ static_cast<std::uint32_t>(*p)) * kPrime;
+  const std::uint64_t len = data.size();
+  h = (h ^ static_cast<std::uint32_t>(len)) * kPrime;
+  h = (h ^ static_cast<std::uint32_t>(len >> 32)) * kPrime;
+  // Avalanche so nearby inputs spread over all 32 bits (also bijective).
+  h ^= h >> 16;
+  h *= 0x85ebca6bu;
+  h ^= h >> 13;
+  h *= 0xc2b2ae35u;
+  h ^= h >> 16;
   return h;
 }
 
 bio::Bytes encode_ready() {
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Ready));
-  return seal(w.take());
+  bio::WireWriter w = frame(MsgType::Ready);
+  return seal(w);
 }
 
 bio::Bytes encode_job(const Job& job) {
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Job));
+  bio::WireWriter w = frame(MsgType::Job);
   w.u64(job.id);
   w.raw(job.payload);
-  return seal(w.take());
+  return seal(w);
 }
 
 bio::Bytes encode_result(std::uint64_t job_id, const bio::Bytes& payload) {
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Result));
+  bio::WireWriter w = frame(MsgType::Result);
   w.u64(job_id);
   w.raw(payload);
-  return seal(w.take());
+  return seal(w);
 }
 
 bio::Bytes encode_terminate() {
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Terminate));
-  return seal(w.take());
+  bio::WireWriter w = frame(MsgType::Terminate);
+  return seal(w);
 }
 
 bio::Bytes encode_checkpoint(const bio::Bytes& snapshot) {
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Checkpoint));
+  bio::WireWriter w = frame(MsgType::Checkpoint);
   w.raw(snapshot);
-  return seal(w.take());
+  return seal(w);
 }
 
 bio::Bytes encode_heartbeat(std::uint64_t seq) {
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Heartbeat));
+  bio::WireWriter w = frame(MsgType::Heartbeat);
   w.u64(seq);
-  return seal(w.take());
+  return seal(w);
 }
 
 bio::Bytes encode_batch(std::span<const Job* const> jobs) {
   if (jobs.empty())
     throw bio::WireError("encode_batch: empty grant");
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Batch));
+  bio::WireWriter w = frame(MsgType::Batch);
   w.u32(static_cast<std::uint32_t>(jobs.size()));
   for (const Job* job : jobs) {
     w.u64(job->id);
     w.u32(static_cast<std::uint32_t>(job->payload.size()));
     w.raw(job->payload);
   }
-  return seal(w.take());
+  return seal(w);
 }
 
 bio::Bytes encode_batch_result(std::span<const Job> jobs,
                                std::span<const bio::Bytes> payloads) {
   if (jobs.empty() || jobs.size() != payloads.size())
     throw bio::WireError("encode_batch_result: grant/result size mismatch");
-  bio::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::BatchResult));
+  bio::WireWriter w = frame(MsgType::BatchResult);
   w.u32(static_cast<std::uint32_t>(jobs.size()));
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     w.u64(jobs[k].id);
     w.u32(static_cast<std::uint32_t>(payloads[k].size()));
     w.raw(payloads[k]);
   }
-  return seal(w.take());
+  return seal(w);
 }
 
 void decode_batch_jobs(const bio::Bytes& payload, std::vector<Job>& out) {

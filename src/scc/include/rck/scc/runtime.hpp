@@ -6,22 +6,23 @@
 // simulated core, written with *blocking* message-passing calls, and the
 // runtime interleaves the per-core executions deterministically.
 //
-// Mechanics: each core's program runs on its own OS thread, but the
-// scheduler admits exactly one thread at a time. Every CoreCtx operation
-// that advances the core's virtual clock is a yield point; the scheduler
-// always resumes the entity with the smallest next timestamp — either the
-// earliest pending network event or the ready core with the smallest
-// virtual time (ties: events first, then lowest rank). This conservative
-// order makes simulated executions sequentially consistent and bit-for-bit
-// reproducible: wall-clock thread scheduling cannot change any simulated
-// outcome.
+// Mechanics: each core's program runs on its own stackful fiber (a ucontext
+// on an mmap'd, guard-paged stack), all of them on the thread that called
+// run(). Every CoreCtx operation that advances the core's virtual clock is a
+// yield point — one context switch back to the scheduler — and the
+// scheduler always resumes the entity with the smallest next timestamp:
+// either the earliest pending network event or the ready core with the
+// smallest virtual time (ties: events first, then lowest rank). This
+// conservative order makes simulated executions sequentially consistent and
+// bit-for-bit reproducible, and because only one fiber ever runs at a time,
+// simulation state needs no locking. Program code must not block on OS
+// primitives (a blocked fiber stalls the whole simulation) and must not call
+// CoreCtx operations while an exception is in flight or being handled.
 //
-// With RuntimeConfig::host.threads > 1 the scheduler additionally releases
-// several ready cores at once while their operations are compute-class and
-// lie below the conservative lookahead horizon (the earliest pending event);
-// they re-serialize at the next communication operation. Simulated results
-// stay bit-identical to serial mode — see HostParallelism and DESIGN.md
-// ("Host-parallel execution").
+// Host parallelism lives outside the runtime: RuntimeConfig::host sizes the
+// compute-ahead pre-pass in which rckalign fills its jobs' alignment
+// outcomes on host threads before the simulation replays them — see
+// HostParallelism and DESIGN.md ("Host execution model").
 //
 // Compute cost enters via charge_cycles(), typically fed from the
 // core::AlignStats counters of a real alignment executed inline by the
@@ -122,7 +123,7 @@ struct FaultPlan {
   /// order is a pure simulation observable, so this pins a crash to a
   /// precise protocol step — "crash the master right after the Kth
   /// delivery" — independent of how timing parameters shift wall-clock
-  /// simulated times. Deterministic across serial and host-parallel runs.
+  /// simulated times. Deterministic across replays.
   struct EventCrash {
     int rank = -1;
     std::uint64_t after_events = 0;
@@ -149,48 +150,21 @@ struct FaultPlan {
   }
 };
 
-/// Host-side execution parallelism for the simulation itself.
+/// Host threads for the compute-ahead pre-pass.
 ///
-/// The DES stays *conservative*: with threads > 1 the scheduler grants each
-/// core its own *release horizon* — H(c) = min(earliest pending event that
-/// can touch c, earliest time any other core can initiate an effect toward
-/// c plus one minimum delivery latency; see rck/scc/horizon.hpp) — and a
-/// granted core runs its compute-class sections (charge / charge_cycles /
-/// dram_read / set_freq) and own-state receives on a real host thread,
-/// committing virtual time under the scheduler lock, until it reaches its
-/// horizon. At the horizon it first tries to renew (peers may have advanced)
-/// and otherwise parks, handing its host slot to the next grantable core via
-/// a per-slot work-stealing offer deque. Communication operations that touch
-/// shared simulation state (send/barrier/wait_any/peer_alive) re-serialize
-/// at the scheduler; events and serialized operations fire only when no
-/// released core could still commit an earlier-simulated-time action, which
-/// keeps every simulated outcome — event order, makespan, traces,
-/// CoreReports, observability output, fault replays — bit-identical to
-/// serial mode (threads <= 1). Serial mode keeps the legacy one-at-a-time
-/// scheduler byte-for-byte.
+/// The simulation itself always runs on the calling thread (one fiber per
+/// simulated core). What host threads buy is the real alignment work: when
+/// rckalign::run_rckalign() or run_pairs() has no precomputed PairCache, it
+/// first fills its jobs' TM-align outcomes on `threads` host threads, then
+/// the simulation replays them through the cached path. Outcomes are stored
+/// by their exact (a, b) key, so the thread count changes wall-clock time
+/// only, never any simulated result.
 struct HostParallelism {
-  /// Maximum program threads released concurrently; <= 1 = serial scheduler.
+  /// Host threads for the pre-pass; 1 = the calling thread alone.
   int threads = 1;
 
-  /// Convenience: one thread per host hardware thread.
+  /// Convenience: one thread per online host CPU.
   static HostParallelism hardware() noexcept;
-
-  bool enabled() const noexcept { return threads > 1; }
-};
-
-/// Host-parallel scheduler accounting (see SpmdRuntime::host_parallel_stats).
-/// Counters describe host-side scheduling only; they are wall-clock
-/// dependent and deliberately excluded from simulated results.
-struct HostParallelStats {
-  std::uint64_t windows = 0;    ///< scheduler passes that granted >= 1 core
-  std::uint64_t releases = 0;   ///< grants summed over passes
-  std::uint64_t local_ops = 0;  ///< compute ops applied without the scheduler
-  std::uint64_t max_width = 0;  ///< most cores released at once
-  std::uint64_t steals = 0;     ///< grants popped from another slot's deque
-  std::uint64_t handoffs = 0;   ///< parking cores that woke a successor
-  std::uint64_t renewals = 0;   ///< horizons regrown in place at the wall
-
-  bool operator==(const HostParallelStats&) const = default;
 };
 
 struct RuntimeConfig {
@@ -213,9 +187,9 @@ struct RuntimeConfig {
   /// Deterministic fault injection (core crashes, message loss/corruption,
   /// storage stalls). Empty by default: no faults.
   FaultPlan faults{};
-  /// Host-side parallel execution of independent compute sections. Off by
-  /// default (serial scheduler); turning it on changes wall-clock time only,
-  /// never any simulated result.
+  /// Host threads for the compute-ahead pre-pass of rckalign's drivers (see
+  /// HostParallelism). Changes wall-clock time only, never any simulated
+  /// result; the runtime itself ignores it.
   HostParallelism host{};
   /// Observability (metrics + structured trace, see DESIGN.md
   /// "Observability"). Off by default: no recorder is created and every
@@ -226,14 +200,11 @@ struct RuntimeConfig {
   obs::Config obs{};
   /// Protocol race detection (vector-clock MPB/flag checker, see DESIGN.md
   /// "Analysis & invariants"). Off by default: no checker is constructed
-  /// and every hook short-circuits. When active the serial scheduler is
-  /// forced (every operation is an interception point, so host-parallel
-  /// windows would buy nothing; simulated results are identical either
-  /// way). A clean chk run stays bit-identical to a chk-off run.
+  /// and every hook short-circuits. A clean chk run stays bit-identical to
+  /// a chk-off run.
   chk::Config chk{};
   /// Model-checking session (see DESIGN.md "Systematic exploration"). Null
-  /// by default. When set, the serial scheduler is forced (like chk) and
-  /// every same-instant scheduling tie — ready cores at equal virtual time,
+  /// by default. When set, every same-instant scheduling tie — ready cores at equal virtual time,
   /// events due at the same instant — becomes a decision the session
   /// resolves and records. The all-zeros decision vector reproduces the
   /// canonical serial schedule exactly, so a session that always picks 0
@@ -389,10 +360,11 @@ class SpmdRuntime {
   SpmdRuntime(const SpmdRuntime&) = delete;
   SpmdRuntime& operator=(const SpmdRuntime&) = delete;
 
-  /// Execute `program` on ranks 0..nranks-1 to completion.
-  /// Returns the simulated makespan (max core finish time).
-  /// Throws DeadlockError on deadlock; rethrows the first (lowest-rank)
-  /// exception if a program throws.
+  /// Execute `program` on ranks 0..nranks-1 to completion, one fiber per
+  /// rank on the calling thread. Returns the simulated makespan (max core
+  /// finish time). Throws DeadlockError on deadlock; rethrows the first
+  /// exception a program throws. Every fiber is unwound (its stack objects
+  /// destroyed) before run() returns or throws.
   noc::SimTime run(int nranks, const Program& program);
 
   const RuntimeConfig& config() const noexcept { return cfg_; }
@@ -405,9 +377,6 @@ class SpmdRuntime {
   /// Recorded activity intervals, in simulated-time order (empty unless
   /// RuntimeConfig::enable_trace was set).
   const std::vector<TraceEvent>& trace() const noexcept;
-
-  /// Host-parallel scheduler accounting (all zero in serial mode).
-  const HostParallelStats& host_parallel_stats() const noexcept;
 
   /// The run's observability recorder (null unless RuntimeConfig::obs is
   /// active). Shared so callers can keep metrics/trace alive after the

@@ -1,28 +1,55 @@
 #include "rck/scc/runtime.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <condition_variable>
+#include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <exception>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <tuple>
 
-#include "rck/scc/horizon.hpp"
+// Sanitizer fiber annotations: every stack switch is announced to ASan
+// (fake-stack and stack-bounds bookkeeping) and TSan (per-fiber happens-before
+// state), which otherwise mistake a swapcontext for stack corruption or a
+// data race between unrelated "threads".
+#if defined(__SANITIZE_ADDRESS__)
+#define RCK_FIBER_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define RCK_FIBER_TSAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) && !defined(RCK_FIBER_ASAN)
+#define RCK_FIBER_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer) && !defined(RCK_FIBER_TSAN)
+#define RCK_FIBER_TSAN 1
+#endif
+#endif
+#ifdef RCK_FIBER_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef RCK_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace rck::scc {
 
 namespace {
 
-/// Thrown into program threads to unwind them when the simulation aborts.
-/// Not derived from std::exception on purpose: program code that catches
+/// Thrown into a fiber to unwind it when the simulation aborts. Not derived
+/// from std::exception on purpose: program code that catches
 /// (std::exception&) will not swallow it.
 struct AbortSim {};
 
-/// Thrown into a single program thread to unwind it when its core is killed
-/// by the FaultPlan. Same non-std::exception rationale as AbortSim.
+/// Thrown into a single fiber to unwind it when its core is killed by the
+/// FaultPlan. Same non-std::exception rationale as AbortSim.
 struct CrashUnwind {};
 
 constexpr noc::SimTime kInf = ~noc::SimTime{0};
@@ -30,6 +57,15 @@ constexpr noc::SimTime kInf = ~noc::SimTime{0};
 /// Framing bytes added to every payload for timing purposes (source rank,
 /// length, tag words RCCE puts in the MPB).
 constexpr std::uint64_t kMsgHeaderBytes = 16;
+
+/// Usable stack per simulated core. Pages are committed only when touched,
+/// so the reservation costs address space, not memory; ASan's redzones and
+/// fake frames need the headroom.
+#ifdef RCK_FIBER_ASAN
+constexpr std::size_t kFiberStackBytes = std::size_t{4} << 20;
+#else
+constexpr std::size_t kFiberStackBytes = std::size_t{1} << 20;
+#endif
 
 /// xorshift64* step for the chk schedule perturbation: hand-rolled so the
 /// perturbed dispatch order is a pure function of the seed, independent of
@@ -40,6 +76,55 @@ std::uint64_t chk_shuffle_next(std::uint64_t& s) noexcept {
   s ^= s >> 27;
   return s * 0x2545F4914F6CDD1DULL;
 }
+
+std::size_t page_size() noexcept {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// One simulated core's execution context: a ucontext on an mmap'd stack
+/// whose lowest page is PROT_NONE, so an overflow faults at once instead of
+/// silently corrupting the neighbouring mapping.
+struct Fiber {
+  ucontext_t ctx{};
+  void* map = nullptr;
+  std::size_t map_len = 0;
+  void* asan_fake = nullptr;  // ASan fake-stack handle while switched out
+  void* tsan = nullptr;       // TSan fiber handle
+
+  Fiber(void (*entry)(), unsigned hi, unsigned lo) {
+    map_len = kFiberStackBytes + page_size();
+    map = mmap(nullptr, map_len, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (map == MAP_FAILED) {
+      map = nullptr;
+      throw SimError("fiber: cannot map a core stack");
+    }
+    if (mprotect(map, page_size(), PROT_NONE) != 0) {
+      munmap(map, map_len);
+      map = nullptr;
+      throw SimError("fiber: cannot protect the stack guard page");
+    }
+    getcontext(&ctx);
+    ctx.uc_stack.ss_sp = stack_lo();
+    ctx.uc_stack.ss_size = kFiberStackBytes;
+    ctx.uc_link = nullptr;  // entries never return; they switch out for good
+    makecontext(&ctx, entry, 2, hi, lo);
+#ifdef RCK_FIBER_TSAN
+    tsan = __tsan_create_fiber(0);
+#endif
+  }
+  ~Fiber() {
+#ifdef RCK_FIBER_TSAN
+    if (tsan != nullptr) __tsan_destroy_fiber(tsan);
+#endif
+    if (map != nullptr) munmap(map, map_len);
+  }
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  char* stack_lo() const noexcept { return static_cast<char*>(map) + page_size(); }
+};
 
 }  // namespace
 
@@ -70,7 +155,7 @@ struct CoreState {
   std::size_t rr_cursor = 0;                 // wait_any fairness state
   double freq_scale_dynamic = 0.0;           // runtime DVFS override; 0 = config
 
-  bool dead = false;            // killed by the FaultPlan; thread must unwind
+  bool dead = false;            // killed by the FaultPlan; fiber must unwind
   bool timed_out = false;       // last blocking wait ended by its deadline
   std::uint64_t wait_epoch = 0; // bumped on every wake; invalidates stale timers
 
@@ -80,42 +165,22 @@ struct CoreState {
   // classify the segment for CoreTie commutation (see mc::Session::segment).
   bool mc_shared = false;
 
-  // --- Host-parallel grant state (all scheduler-lock protected) ---
-  // `released` marks a core granted a host-pool slot rather than the serial
-  // execution token; while set, the core may apply compute-class operations
-  // locally as long as its clock stays below `horizon` (its per-core release
-  // horizon, see rck/scc/horizon.hpp). `in_op` marks a thread parked
-  // *inside* a communication-class operation: such a core must only ever be
-  // resumed serially, because the remainder of the operation touches shared
-  // state. `slot` is the pool slot held while released; `offered` marks a
-  // grant offer for this core queued on some slot's deque.
-  bool released = false;
-  noc::SimTime horizon = 0;
-  bool in_op = false;
-  int slot = -1;
-  bool offered = false;
-  // Run-ahead trace records awaiting their deterministic merge into the
-  // global trace (kept sorted by construction; `local_flushed` is the merged
-  // prefix).
-  std::vector<TraceEvent> local_trace;
-  std::size_t local_flushed = 0;
-
   CoreReport report;
   std::exception_ptr error;
-  std::condition_variable cv;
-  std::thread thread;
+  // Created on first dispatch; a restart discards it so the revived core
+  // re-runs the program on a fresh stack.
+  std::unique_ptr<Fiber> fiber;
 };
 
 struct SpmdRuntime::Impl {
-  explicit Impl(const RuntimeConfig& c)
-      : cfg(c), network(queue, c.chip.make_mesh(), c.net) {}
+  Impl(SpmdRuntime& o, const RuntimeConfig& c)
+      : owner(&o), cfg(c), network(queue, c.chip.make_mesh(), c.net) {}
 
+  SpmdRuntime* owner;
   RuntimeConfig cfg;
   noc::EventQueue queue;
   noc::Network network;
 
-  std::mutex m;
-  std::condition_variable sched_cv;
   std::vector<std::unique_ptr<CoreState>> cores;
   int nranks = 0;
   bool shutdown = false;
@@ -125,43 +190,34 @@ struct SpmdRuntime::Impl {
   std::uint64_t barrier_epoch = 0;
   noc::SimTime barrier_time = 0;
 
-  bool parallel = false;  // cfg.host.threads > 1, latched in run()
-  HostParallelStats hp_stats;
-
-  // --- Grant pool (parallel scheduler; all scheduler-lock protected) ---
-  // cfg.host.threads slots bound how many cores run released at once. A
-  // grantable core that finds no free slot is queued as an *offer* on one of
-  // the per-slot deques; a parking core pops its own deque from the back
-  // (warmest) and steals from the other deques' fronts (oldest) to hand its
-  // slot over without a scheduler round-trip. The deques balance wake-up
-  // work across slots — every transition still happens under the one
-  // scheduler mutex, so this is a scheduling discipline, not lock-freedom.
-  int pool_width = 0;
-  int pool_active = 0;  // cores currently released
-  std::vector<std::deque<CoreState*>> pool_offers;
-  std::vector<int> free_slots;
-  std::size_t offer_rr = 0;  // round-robin deque choice for queued offers
-  bool draining = false;     // error drain: stop granting and handing off
-  // Earliest simulated time the waiting scheduler still cares about: a
-  // released core committing to or past it must notify sched_cv. kInf when
-  // the scheduler is awake (or waiting only for parks).
-  noc::SimTime sched_wait_below = kInf;
-  noc::SimTime l_min = 0;  // network.min_delivery_delay(kMsgHeaderBytes)
-  // Horizon computation scratch, persistent across passes (no per-pass
-  // allocation on the scheduler hot path).
-  HorizonModel hz_model;
-  std::vector<HorizonCore> hz_cores;
-  std::vector<noc::SimTime> hz_bounds;
-  std::vector<noc::SimTime> hz_horizons;
+  // ---- Fiber switching ------------------------------------------------------
+  // The scheduler runs on the caller's stack; every simulated core runs on
+  // its own fiber. Exactly one of them executes at a time, so simulation
+  // state needs no locking: dispatch() switches into a fiber and returns
+  // once the fiber switches back at its next yield point.
+  const Program* program = nullptr;
+  ucontext_t sched_ctx{};
+  CoreState* current = nullptr;  // the fiber executing now; null = scheduler
+  // Scheduler-side sanitizer state: its stack bounds (learned from the first
+  // switch into a fiber), ASan fake-stack handle and TSan fiber handle.
+  const void* sched_stack_lo = nullptr;
+  std::size_t sched_stack_len = 0;
+  void* sched_fake = nullptr;
+  void* sched_tsan = nullptr;
+  // The scheduler's exception state at the last switch into a fiber. A fiber
+  // must switch back with exactly this state: libstdc++ keeps the in-flight
+  // and caught-exception bookkeeping per OS thread, so a fiber that switched
+  // away mid-throw or inside a handler would hand the next fiber a corrupt
+  // exception stack.
+  int sched_uncaught = 0;
+  std::exception_ptr sched_exc;
 
   std::vector<TraceEvent> trace;
 
-  // Observability (null unless cfg.obs is active). Shards follow the
-  // single-writer discipline documented in rck/obs/obs.hpp: program threads
-  // write their own core's shard; delivery/crash events write the affected
-  // core's shard from the scheduler (an event fires only while its target
-  // core holds no release — released_blocks_event), and the network writes
-  // the trailing system shard.
+  // Observability (null unless cfg.obs is active). Program fibers write
+  // their own core's shard; delivery/crash events write the affected core's
+  // shard from the scheduler, and the network writes the trailing system
+  // shard. Only one of them runs at a time.
   std::shared_ptr<obs::Recorder> rec;
   std::vector<std::uint64_t> mpb_bytes;  // queued inbox bytes per core
 
@@ -197,7 +253,7 @@ struct SpmdRuntime::Impl {
   std::vector<PendingEventCrash> event_crashes;
 
   /// Fire every crash-at-event-K trigger whose threshold the queue has
-  /// reached. Lock held; follow with reap_dead().
+  /// reached. Follow with reap_dead().
   void apply_event_crashes() {
     for (PendingEventCrash& ec : event_crashes) {
       if (ec.applied || queue.fired() < ec.after_events) continue;
@@ -206,9 +262,9 @@ struct SpmdRuntime::Impl {
     }
   }
 
-  // Race detection (null unless cfg.chk is active). chk forces the serial
-  // scheduler, so every checker call happens with all other program threads
-  // parked — the checker needs no locking of its own.
+  // Race detection (null unless cfg.chk is active). Every checker call
+  // happens on the one executing fiber (or the scheduler), so the checker
+  // needs no locking of its own.
   std::shared_ptr<chk::Checker> chk;
   struct ChkSites {
     chk::SiteId send = 0, recv = 0, recv_timeout = 0, probe = 0, wait_any = 0,
@@ -216,10 +272,9 @@ struct SpmdRuntime::Impl {
   } chk_sites;
   std::uint64_t chk_rng = 0;  // schedule-perturbation state; 0 = off
 
-  // Model checking (null unless cfg.mc is set; latched in run()). mc forces
-  // the serial scheduler like chk, so every session call happens with all
-  // other program threads parked. Scratch vectors live here to keep the
-  // scheduler hot path allocation-free across decisions.
+  // Model checking (null unless cfg.mc is set; latched in run()). Scratch
+  // vectors live here to keep the scheduler hot path allocation-free across
+  // decisions.
   mc::Session* mc = nullptr;
   std::vector<CoreState*> mc_tied;
   std::vector<int> mc_ranks;
@@ -261,130 +316,113 @@ struct SpmdRuntime::Impl {
       throw SimError(std::string(what) + ": rank out of range");
   }
 
-  /// Park the calling core's thread with the given status and wait until the
-  /// scheduler resumes it. Lock must be held; rethrows AbortSim on shutdown
-  /// and CrashUnwind once this core has been killed by the fault plan.
-  /// A core entering an ordinary yield point gives up any parallel-window
-  /// release it still holds (re-serializing is always safe); after the wait,
-  /// `released` reflects the kind of the *new* grant.
-  void yield(CoreState& st, std::unique_lock<std::mutex>& lock,
-             CoreState::Status status) {
-    leave_released(st);  // give the slot away before any unwind below
+  // ---- Fiber switches --------------------------------------------------------
+
+  static void asan_start(void** fake, const void* lo, std::size_t len) noexcept {
+#ifdef RCK_FIBER_ASAN
+    __sanitizer_start_switch_fiber(fake, lo, len);
+#else
+    (void)fake, (void)lo, (void)len;
+#endif
+  }
+
+  static void asan_finish(void* fake, const void** lo, std::size_t* len) noexcept {
+#ifdef RCK_FIBER_ASAN
+    __sanitizer_finish_switch_fiber(fake, lo, len);
+#else
+    (void)fake, (void)lo, (void)len;
+#endif
+  }
+
+  static void tsan_switch(void* fiber) noexcept {
+#ifdef RCK_FIBER_TSAN
+    __tsan_switch_to_fiber(fiber, 0);
+#else
+    (void)fiber;
+#endif
+  }
+
+  /// makecontext() entry: the Impl pointer arrives split into two ints.
+  static void fiber_entry(unsigned hi, unsigned lo) {
+    const std::uintptr_t p = (static_cast<std::uintptr_t>(hi) << 32) | lo;
+    reinterpret_cast<Impl*>(p)->fiber_main();
+  }
+
+  /// Body of every core's fiber: run the program once, record how it ended,
+  /// and switch back to the scheduler for good.
+  [[noreturn]] void fiber_main() {
+    asan_finish(nullptr, &sched_stack_lo, &sched_stack_len);
+    CoreState& st = *current;
+    {
+      CoreCtx ctx(*owner, st);
+      try {
+        (*program)(ctx);
+      } catch (const AbortSim&) {
+        // unwound by shutdown; nothing to record
+      } catch (const CrashUnwind&) {
+        // this core was killed by the fault plan; its report says so
+      } catch (...) {
+        st.error = std::current_exception();
+      }
+    }
+    st.status = CoreState::Status::Done;
+    st.report.finish = st.vtime;
+    asan_start(nullptr, sched_stack_lo, sched_stack_len);  // frees the fake stack
+    tsan_switch(sched_tsan);
+    swapcontext(&st.fiber->ctx, &sched_ctx);
+    std::abort();  // a finished fiber is never resumed
+  }
+
+  /// Scheduler -> `st`: run its fiber until it switches back (yield, block,
+  /// finish or unwind). A core without a fiber gets a fresh one here.
+  void enter(CoreState& st) {
+    if (!st.fiber) {
+      const auto p = reinterpret_cast<std::uintptr_t>(this);
+      st.fiber = std::make_unique<Fiber>(reinterpret_cast<void (*)()>(&fiber_entry),
+                                         static_cast<unsigned>(p >> 32),
+                                         static_cast<unsigned>(p & 0xffffffffu));
+    }
+    sched_uncaught = std::uncaught_exceptions();
+    sched_exc = std::current_exception();
+    current = &st;
+    asan_start(&sched_fake, st.fiber->stack_lo(), kFiberStackBytes);
+    tsan_switch(st.fiber->tsan);
+    swapcontext(&sched_ctx, &st.fiber->ctx);
+    asan_finish(sched_fake, nullptr, nullptr);
+    current = nullptr;
+  }
+
+  /// Park the calling core's fiber with the given status until the scheduler
+  /// resumes it (one switch to the scheduler and back); throws AbortSim on
+  /// shutdown and CrashUnwind once this core has been killed by the fault
+  /// plan.
+  void yield(CoreState& st, CoreState::Status status) {
     if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
+    if (std::uncaught_exceptions() != sched_uncaught ||
+        std::current_exception() != sched_exc)
+      throw SimError(  // fatal while unwinding: a switch now would corrupt
+          "simulated operation on rank " + std::to_string(st.rank) +
+          " while an exception is in flight or being handled");
     st.status = status;
     if (status == CoreState::Status::Blocked) st.blocked_since = st.vtime;
-    sched_cv.notify_all();
-    st.cv.wait(lock, [&] {
-      return st.status == CoreState::Status::Running || shutdown || st.dead;
-    });
+    Fiber& f = *st.fiber;
+    asan_start(&f.asan_fake, sched_stack_lo, sched_stack_len);
+    tsan_switch(sched_tsan);
+    swapcontext(&f.ctx, &sched_ctx);
+    asan_finish(f.asan_fake, &sched_stack_lo, &sched_stack_len);
     if (shutdown) throw AbortSim{};  // rck-lint: allow(throw-taxonomy)
     if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
-  }
-
-  /// A released core ends its run-ahead (next operation needs the
-  /// scheduler, or its clock reached the horizon and renewal failed): hand
-  /// the slot over, park as Ready and wait for the next grant — serial
-  /// (released stays false) or another release (released set again by
-  /// wake_grant). Lock must be held.
-  void park_released(CoreState& st, std::unique_lock<std::mutex>& lock) {
-    leave_released(st);
-    st.status = CoreState::Status::Ready;
-    sched_cv.notify_all();
-    st.cv.wait(lock, [&] {
-      return st.status == CoreState::Status::Running || shutdown || st.dead;
-    });
-    if (shutdown) throw AbortSim{};  // rck-lint: allow(throw-taxonomy)
-    if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
-  }
-
-  /// Gate at the top of every communication-class operation: such operations
-  /// touch shared state (network, event queue, inboxes, barrier, liveness)
-  /// and must never run inside a parallel window. Lock must be held.
-  void serialize(CoreState& st, std::unique_lock<std::mutex>& lock) {
-    while (st.released) park_released(st, lock);
   }
 
   /// Advance the core's clock (busy) and give the scheduler a chance to
-  /// reorder. Lock must be held.
-  void advance(CoreState& st, std::unique_lock<std::mutex>& lock, noc::SimTime dt,
+  /// reorder.
+  void advance(CoreState& st, noc::SimTime dt,
                TraceEvent::Kind kind = TraceEvent::Kind::Compute) {
     record(st.rank, kind, st.vtime, st.vtime + dt);
     st.vtime += dt;
     st.report.busy += dt;
-    yield(st, lock, CoreState::Status::Ready);
+    yield(st, CoreState::Status::Ready);
   }
-
-  /// A released core reached its horizon: peers may have advanced since the
-  /// grant, so recompute before giving the slot up. True when the horizon
-  /// grew past the core's clock (keep running). Lock must be held.
-  bool try_renew(CoreState& st) {
-    const noc::SimTime h = horizon_of(st.rank);
-    if (st.vtime >= h) return false;
-    st.horizon = h;
-    ++hp_stats.renewals;
-    return true;
-  }
-
-  /// Compute-class time advance: while released, apply the operation locally
-  /// (it touches only this core's state) as long as the clock stays strictly
-  /// below the release horizon — no other simulated action can observe or
-  /// affect this core below that instant (rck/scc/horizon.hpp). At the
-  /// horizon, renew in place if peers have moved on; otherwise park.
-  /// Non-released cores take the serial advance. Lock must be held.
-  void advance_compute(CoreState& st, std::unique_lock<std::mutex>& lock,
-                       noc::SimTime dt, TraceEvent::Kind kind = TraceEvent::Kind::Compute) {
-    for (;;) {
-      if (!st.released) {
-        advance(st, lock, dt, kind);
-        return;
-      }
-      if (st.vtime < st.horizon || try_renew(st)) {
-        if (cfg.enable_trace && dt > 0)
-          st.local_trace.push_back({st.rank, kind, st.vtime, st.vtime + dt});
-        st.vtime += dt;
-        st.report.busy += dt;
-        ++hp_stats.local_ops;
-        if (st.vtime >= sched_wait_below) sched_cv.notify_all();
-        return;  // keep running user code without a scheduler round-trip
-      }
-      park_released(st, lock);  // horizon reached for good: next grant
-    }
-  }
-
-  /// Merge buffered run-ahead trace records into the global trace, in
-  /// exactly the order the serial scheduler would have appended them: all
-  /// records strictly older than the work unit about to execute, by
-  /// (start, rank). For an event unit pass rank_bound = -1 (events fire
-  /// before any core op at the same instant); for a core dispatch pass the
-  /// core's rank (lower ranks win ties). Lock must be held.
-  void flush_local_before(noc::SimTime t, int rank_bound) {
-    if (!cfg.enable_trace) return;
-    for (;;) {
-      CoreState* best = nullptr;
-      for (auto& c : cores) {
-        if (c->local_flushed >= c->local_trace.size()) continue;
-        const TraceEvent& f = c->local_trace[c->local_flushed];
-        if (f.start > t || (f.start == t && (rank_bound < 0 || c->rank >= rank_bound)))
-          continue;
-        if (best == nullptr) {
-          best = c.get();
-          continue;
-        }
-        const TraceEvent& b = best->local_trace[best->local_flushed];
-        if (f.start < b.start || (f.start == b.start && c->rank < best->rank))
-          best = c.get();
-      }
-      if (best == nullptr) break;
-      trace.push_back(best->local_trace[best->local_flushed++]);
-      if (best->local_flushed == best->local_trace.size()) {
-        best->local_trace.clear();
-        best->local_flushed = 0;
-      }
-    }
-  }
-
-  /// Drain every remaining buffered record (end of run).
-  void flush_local_all() { flush_local_before(kInf, -1); }
 
   bool wants_message_from(const CoreState& st, int src) const {
     if (st.wait_src == src) return true;
@@ -393,7 +431,7 @@ struct SpmdRuntime::Impl {
     return false;
   }
 
-  /// Wake a blocked core at time `t` (>= its blocking time). Lock held.
+  /// Wake a blocked core at time `t` (>= its blocking time).
   void wake(CoreState& st, noc::SimTime t) {
     const noc::SimTime resume = std::max(st.vtime, t);
     record(st.rank, TraceEvent::Kind::Blocked, st.blocked_since, resume);
@@ -407,7 +445,7 @@ struct SpmdRuntime::Impl {
 
   /// Schedule a deadline event for a core about to block in a timed wait.
   /// The event is a no-op unless the core is still parked in the same wait
-  /// (epoch match) when the deadline arrives. Lock held.
+  /// (epoch match) when the deadline arrives.
   void arm_timer(CoreState& st, noc::SimTime deadline) {
     // Arming inserts into the shared event queue; under mc the quantum stops
     // counting as a pure-local segment.
@@ -425,18 +463,16 @@ struct SpmdRuntime::Impl {
         st.rank, noc::EventClass::Timer);
   }
 
-  /// Kill a core at simulated time `t` (fires from the event queue; lock is
-  /// held by the scheduler). The program thread unwinds via CrashUnwind the
-  /// next time it runs; reap_dead() below guarantees that happens before the
-  /// scheduler makes any further decision.
+  /// Kill a core at simulated time `t` (fires from the event queue). The
+  /// fiber unwinds via CrashUnwind the next time it runs; reap_dead() below
+  /// guarantees that happens before the scheduler makes any further
+  /// decision.
   void apply_crash(CoreState& st, noc::SimTime t) {
     if (st.dead || st.status == CoreState::Status::Done) return;
     st.dead = true;
     st.report.crashed = true;
     st.report.crashed_at = t;
     if (rec) {
-      // Crash events fire from the scheduler with no parallel window open,
-      // so the victim's shard is writable here.
       const obs::Handle h = oh(st.rank);
       h.add(h.ids().scc_crashes);
       h.instant(obs::Lane::Core, h.ids().n_crash, t,
@@ -449,50 +485,35 @@ struct SpmdRuntime::Impl {
     }
     st.vtime = std::max(st.vtime, t);
     st.in_barrier = false;  // an arrived-then-crashed core stays counted
-    st.offered = false;     // any queued grant offer is void
     ++st.wait_epoch;
-    st.cv.notify_all();
   }
 
-  /// Wait for every crashed-but-not-yet-unwound thread to reach Done so the
-  /// scheduler never reasons about half-dead cores. Lock must be held.
-  void reap_dead(std::unique_lock<std::mutex>& lock) {
-    for (auto& c : cores) {
-      if (c->dead && c->status != CoreState::Status::Done) {
-        c->cv.notify_all();
-        sched_cv.wait(lock, [&] { return c->status == CoreState::Status::Done; });
-      }
+  /// Bring a dead or shut-down core to Done: resume its fiber so it unwinds
+  /// (destroying everything on its stack), or just mark it when its program
+  /// never started.
+  void unwind(CoreState& c) {
+    if (c.fiber) {
+      enter(c);
+    } else {
+      c.status = CoreState::Status::Done;
+      c.report.finish = c.vtime;
     }
   }
 
-  // ---- CoreCtx operations (called from program threads) -------------------
+  /// Unwind every crashed-but-not-yet-unwound core so the scheduler never
+  /// reasons about half-dead cores.
+  void reap_dead() {
+    for (auto& c : cores)
+      if (c->dead && c->status != CoreState::Status::Done) unwind(*c);
+  }
 
-  /// RAII marker: the calling thread is inside a communication-class
-  /// operation, so any park point it reaches before returning must only be
-  /// resumed serially (the remainder of the operation touches shared state).
-  /// Declared after the lock in every operation, so it is restored before
-  /// the lock is released.
-  struct OpGuard {
-    explicit OpGuard(CoreState& s) : st(&s) { st->in_op = true; }
-    ~OpGuard() {
-      if (st != nullptr) st->in_op = false;
-    }
-    /// The operation's shared-state section is over; a park at a later
-    /// own-state yield may safely be resumed by a parallel window.
-    void done() {
-      st->in_op = false;
-      st = nullptr;
-    }
-    OpGuard(const OpGuard&) = delete;
-    OpGuard& operator=(const OpGuard&) = delete;
-    CoreState* st;
-  };
+  // ---- CoreCtx operations (called from program fibers) ---------------------
 
   /// The single "is a frame pending from src?" primitive: every probe-style
   /// inbox check — probe(), the wait_any sweeps and the recv dequeue tests,
   /// timed or not — funnels through here, so the race checker observes one
   /// coherent RCCE flag_test stream (a successful test is the only event
-  /// that orders a later slice read after the sender's write). Lock held.
+  /// that orders a later slice read after the sender's write).
   bool probe_pending(CoreState& st, int src, chk::SiteId site) {
     const auto it = st.inbox.find(src);
     const bool pending = it != st.inbox.end() && !it->second.empty();
@@ -503,7 +524,7 @@ struct SpmdRuntime::Impl {
   /// One round-robin polling sweep over `srcs` (the master's polling loop):
   /// returns the first rank with a pending frame — advancing the fairness
   /// cursor past it — or -1 when none is. Shared by the timed and untimed
-  /// wait_any. Lock must be held.
+  /// wait_any.
   int sweep_pending(CoreState& st, std::span<const int> srcs, chk::SiteId site) {
     for (std::size_t k = 0; k < srcs.size(); ++k) {
       const std::size_t idx = (st.rr_cursor + k) % srcs.size();
@@ -518,8 +539,7 @@ struct SpmdRuntime::Impl {
   /// Dequeue the head-of-line frame from `src` (the caller just saw it
   /// pending via probe_pending) and account for it: receive counters, MPB
   /// occupancy sample, and the checker's slice read. `bytes` returns the
-  /// framed size; the caller charges the endpoint occupancy itself (the
-  /// timed and untimed receives charge differently). Lock must be held.
+  /// framed size; the caller charges the endpoint occupancy itself.
   Message take_message(CoreState& st, int src, chk::SiteId site,
                        std::uint64_t& bytes) {
     std::deque<Message>& q = st.inbox[src];
@@ -544,11 +564,6 @@ struct SpmdRuntime::Impl {
     return msg;
   }
 
-  void op_charge(CoreState& st, noc::SimTime dt) {
-    std::unique_lock lock(m);
-    advance_compute(st, lock, dt);
-  }
-
   double freq_scale_of(int rank) const {
     const CoreState& st = *cores[static_cast<std::size_t>(rank)];
     if (st.freq_scale_dynamic > 0.0) return st.freq_scale_dynamic;
@@ -560,25 +575,21 @@ struct SpmdRuntime::Impl {
 
   void op_set_freq(CoreState& st, double scale) {
     if (scale <= 0.0) throw SimError("set_freq_scale: scale must be positive");
-    std::unique_lock lock(m);
     // SCC voltage/frequency transition: frequency switches are fast but a
     // voltage step stalls the tile for on the order of 100 us.
-    advance_compute(st, lock, 100 * noc::kPsPerUs);
+    advance(st, 100 * noc::kPsPerUs);
     st.freq_scale_dynamic = scale;
   }
 
   void op_charge_cycles(CoreState& st, std::uint64_t cycles) {
-    std::unique_lock lock(m);
     st.report.compute_cycles += cycles;
     const noc::SimTime base = cfg.core_model.cycles_to_time(cycles);
-    advance_compute(st, lock,
-                    static_cast<noc::SimTime>(static_cast<double>(base) /
-                                                  freq_scale_of(st.rank) +
-                                              0.5));
+    advance(st, static_cast<noc::SimTime>(static_cast<double>(base) /
+                                              freq_scale_of(st.rank) +
+                                          0.5));
   }
 
   void op_dram_read(CoreState& st, std::uint64_t bytes) {
-    std::unique_lock lock(m);
     const noc::SimTime nominal =
         cfg.chip.dram_read_time(st.rank, bytes, cfg.net.hop_latency);
     noc::SimTime cost = nominal;
@@ -595,14 +606,11 @@ struct SpmdRuntime::Impl {
                   static_cast<std::uint64_t>(st.rank));
       }
     }
-    advance_compute(st, lock, cost, TraceEvent::Kind::Dram);
+    advance(st, cost, TraceEvent::Kind::Dram);
   }
 
   void op_send(CoreState& st, int dst, bio::Bytes payload) {
     check_rank(dst, "send");
-    std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     mc_mark_shared(st);  // mutates link state and schedules a delivery
     const std::uint64_t bytes = payload.size() + kMsgHeaderBytes;
     CoreState* d = cores[static_cast<std::size_t>(dst)].get();
@@ -659,37 +667,20 @@ struct SpmdRuntime::Impl {
                      chk_sites.send, st.rank, dst);
       chk->flag_set(st.rank, st.rank, dst, st.vtime, chk_sites.send);
     }
-    // Endpoint occupancy only advances this core's own clock: release the
-    // in-op marker so the park at this yield is window-eligible (the typical
-    // slave runs its next compute kernel right after send returns).
-    guard.done();
-    advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Send);
+    advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Send);
   }
 
   bio::Bytes op_recv(CoreState& st, int src) {
-    // recv touches only this core's own state (its inbox, clock and report):
-    // inboxes are mutated solely by delivery events, no event targeting this
-    // core fires while it is released (released_blocks_event), and a release
-    // below the horizon precedes every still-pending delivery to it — so a
-    // released core sees exactly the inbox the serial scheduler would have
-    // shown it. It may therefore complete — or block — while released;
-    // blocking gives up the release (yield does), endpoint occupancy is
-    // charged via advance_compute so its trace record merges at the right
-    // position.
     check_rank(src, "recv");
-    std::unique_lock lock(m);
     for (;;) {
-      while (st.released && st.vtime >= st.horizon && !try_renew(st))
-        park_released(st, lock);
       if (probe_pending(st, src, chk_sites.recv)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv, bytes);
-        advance_compute(st, lock, network.endpoint_occupancy(bytes),
-                        TraceEvent::Kind::Recv);
+        advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
         return std::move(msg.payload);
       }
       st.wait_src = src;
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
     }
   }
 
@@ -702,28 +693,22 @@ struct SpmdRuntime::Impl {
 
   bool op_probe(CoreState& st, int src) {
     check_rank(src, "probe");
-    std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     count_poll(st);
-    advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);
+    advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);
     return probe_pending(st, src, chk_sites.probe);
   }
 
   int op_wait_any(CoreState& st, std::span<const int> srcs) {
     if (srcs.empty()) throw SimError("wait_any: empty source set");
     for (int s : srcs) check_rank(s, "wait_any");
-    std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     for (;;) {
       count_poll(st);
-      advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
+      advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
       const int s = sweep_pending(st, srcs, chk_sites.wait_any);
       if (s >= 0) return s;
       st.wait_src = CoreState::kWaitAny;
       st.wait_set.assign(srcs.begin(), srcs.end());
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
     }
   }
 
@@ -737,21 +722,18 @@ struct SpmdRuntime::Impl {
   std::optional<bio::Bytes> op_recv_timeout(CoreState& st, int src,
                                             noc::SimTime timeout) {
     check_rank(src, "recv_timeout");
-    std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       if (probe_pending(st, src, chk_sites.recv_timeout)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv_timeout, bytes);
-        advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
+        advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
         return std::move(msg.payload);
       }
       if (st.vtime >= deadline) return std::nullopt;
       st.wait_src = src;
       arm_timer(st, deadline);
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
       if (consume_timeout(st)) return std::nullopt;
     }
   }
@@ -760,55 +742,46 @@ struct SpmdRuntime::Impl {
                           noc::SimTime timeout) {
     if (srcs.empty()) throw SimError("wait_any_timeout: empty source set");
     for (int s : srcs) check_rank(s, "wait_any_timeout");
-    std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       count_poll(st);
-      advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
+      advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
       const int s = sweep_pending(st, srcs, chk_sites.wait_any_timeout);
       if (s >= 0) return s;
       if (st.vtime >= deadline) return -1;
       st.wait_src = CoreState::kWaitAny;
       st.wait_set.assign(srcs.begin(), srcs.end());
       arm_timer(st, deadline);
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
       if (consume_timeout(st)) return -1;
     }
   }
 
   // ---- Raw chk annotations (see CoreCtx::chk_*) ----------------------------
-  // All no-ops when the checker is off. chk forces the serial scheduler, so
-  // a program thread calling these between its blocking operations is the
-  // only thread touching the checker; the lock still guards against the
-  // (never-released) window machinery by construction.
+  // All no-ops when the checker is off.
 
-  void op_chk_mpb_write(CoreState& st, int owner, std::uint32_t lo,
+  void op_chk_mpb_write(CoreState& st, int owner_rank, std::uint32_t lo,
                         std::uint32_t len, std::string_view site, int flow_src,
                         int flow_dst) {
     if (!chk) return;
-    check_rank(owner, "chk_mpb_write");
-    std::unique_lock lock(m);
-    chk->mpb_write(st.rank, owner, lo, len, st.vtime, chk->site(site), flow_src,
-                   flow_dst);
+    check_rank(owner_rank, "chk_mpb_write");
+    chk->mpb_write(st.rank, owner_rank, lo, len, st.vtime, chk->site(site),
+                   flow_src, flow_dst);
   }
 
-  void op_chk_mpb_read(CoreState& st, int owner, std::uint32_t lo,
+  void op_chk_mpb_read(CoreState& st, int owner_rank, std::uint32_t lo,
                        std::uint32_t len, std::string_view site, int flow_src,
                        int flow_dst) {
     if (!chk) return;
-    check_rank(owner, "chk_mpb_read");
-    std::unique_lock lock(m);
-    chk->mpb_read(st.rank, owner, lo, len, st.vtime, chk->site(site), flow_src,
-                  flow_dst);
+    check_rank(owner_rank, "chk_mpb_read");
+    chk->mpb_read(st.rank, owner_rank, lo, len, st.vtime, chk->site(site),
+                  flow_src, flow_dst);
   }
 
   void op_chk_flag_set(CoreState& st, int src, int dst, std::string_view site) {
     if (!chk) return;
     check_rank(src, "chk_flag_set");
     check_rank(dst, "chk_flag_set");
-    std::unique_lock lock(m);
     chk->flag_set(st.rank, src, dst, st.vtime, chk->site(site));
   }
 
@@ -817,7 +790,6 @@ struct SpmdRuntime::Impl {
     if (!chk) return;
     check_rank(src, "chk_flag_test");
     check_rank(dst, "chk_flag_test");
-    std::unique_lock lock(m);
     chk->flag_test(st.rank, src, dst, observed_set, st.vtime, chk->site(site));
   }
 
@@ -826,7 +798,6 @@ struct SpmdRuntime::Impl {
     if (!chk) return;
     check_rank(src, "chk_note");
     check_rank(dst, "chk_note");
-    std::unique_lock lock(m);
     chk->note(st.rank, src, dst, st.vtime, chk->site(site), id);
   }
 
@@ -837,37 +808,24 @@ struct SpmdRuntime::Impl {
   void op_mc_proto(CoreState& st, mc::ProtoKind kind, std::uint64_t a,
                    std::uint64_t b) {
     if (mc == nullptr) return;
-    std::unique_lock lock(m);
     st.mc_shared = true;
     mc->proto(kind, st.rank, a, b, st.vtime);
   }
 
   bool op_peer_alive(CoreState& st, int rank) {
     check_rank(rank, "peer_alive");
-    std::unique_lock lock(m);
-    // Liveness reads another core's crash state, which only changes when a
-    // crash event fires — serialize so the query observes the same schedule
-    // point as in serial mode.
-    OpGuard guard(st);
-    serialize(st, lock);
     mc_mark_shared(st);  // observes another core's crash state
     return !cores[static_cast<std::size_t>(rank)]->dead;
   }
 
   void op_barrier(CoreState& st) {
-    std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     mc_mark_shared(st);  // touches the shared barrier rendezvous
     barrier_time = std::max(barrier_time, st.vtime);
     if (barrier_count + 1 < nranks) {
       ++barrier_count;
       const std::uint64_t epoch = barrier_epoch;
       st.in_barrier = true;
-      // From here on this core only waits and re-reads the (monotone) epoch:
-      // a woken waiter may be resumed by a parallel window and run user code.
-      guard.done();
-      while (barrier_epoch == epoch) yield(st, lock, CoreState::Status::Blocked);
+      while (barrier_epoch == epoch) yield(st, CoreState::Status::Blocked);
     } else {
       // Last arriver releases everyone at the max arrival time + cost.
       barrier_count = 0;
@@ -893,198 +851,21 @@ struct SpmdRuntime::Impl {
         joined.push_back(st.rank);
         chk->barrier(joined, release);
       }
-      guard.done();  // only the releaser's own park remains
-      yield(st, lock, CoreState::Status::Ready);
+      yield(st, CoreState::Status::Ready);
     }
   }
 
   // ---- Scheduler -----------------------------------------------------------
 
-  /// Hand the (single) execution token to `st` and wait until it yields,
-  /// blocks or finishes. Lock must be held.
-  void dispatch(CoreState& st, std::unique_lock<std::mutex>& lock) {
+  /// Hand the execution token to `st` and return once it yields, blocks or
+  /// finishes.
+  void dispatch(CoreState& st) {
     if (mc != nullptr) st.mc_shared = false;
     st.status = CoreState::Status::Running;
-    st.cv.notify_all();
-    sched_cv.wait(lock, [&] { return st.status != CoreState::Status::Running; });
+    enter(st);
     // The quantum is over (yielded, blocked or finished): report its
     // classification so pending CoreTie watches on this rank resolve.
     if (mc != nullptr) mc->segment(st.rank, !st.mc_shared);
-  }
-
-  // ---- Parallel grant machinery -------------------------------------------
-
-  /// Snapshot every core into the horizon model's terms. Sound while a
-  /// serial operation or released compute is in flight: committed vtimes are
-  /// monotone, and any event scheduled after the snapshot arrives at or past
-  /// the bounds derived from it. Lock must be held.
-  void fill_horizon_input() {
-    hz_cores.resize(static_cast<std::size_t>(nranks));
-    for (std::size_t r = 0; r < hz_cores.size(); ++r) {
-      const CoreState& c = *cores[r];
-      HorizonCore& h = hz_cores[r];
-      h.vtime = c.vtime;
-      h.earliest_event = queue.earliest_for(static_cast<int>(r));
-      h.event_crash_pending = false;
-      if (c.dead)  // before the Done check: a dead core may yet be restarted
-        h.phase = HorizonCore::Phase::Dead;
-      else if (c.status == CoreState::Status::Done)
-        h.phase = HorizonCore::Phase::Done;
-      else if (c.status == CoreState::Status::Blocked)
-        h.phase = c.in_barrier ? HorizonCore::Phase::BarrierBlocked
-                               : HorizonCore::Phase::Blocked;
-      else
-        h.phase = HorizonCore::Phase::Runnable;
-    }
-    for (const PendingEventCrash& ec : event_crashes)
-      if (!ec.applied)
-        hz_cores[static_cast<std::size_t>(ec.rank)].event_crash_pending = true;
-    hz_model = HorizonModel{l_min, cfg.barrier_cost, queue.lookahead()};
-  }
-
-  /// Fresh release horizon for one core (offer validation / self-renewal).
-  noc::SimTime horizon_of(int rank) {
-    fill_horizon_input();
-    return release_horizon(hz_cores, hz_model, static_cast<std::size_t>(rank),
-                           hz_bounds);
-  }
-
-  /// Put `c` on host slot `slot` and let it run released below `horizon`.
-  /// Lock must be held.
-  void wake_grant(CoreState& c, int slot, noc::SimTime horizon) {
-    c.offered = false;
-    c.released = true;
-    c.slot = slot;
-    c.horizon = horizon;
-    ++pool_active;
-    hp_stats.max_width =
-        std::max(hp_stats.max_width, static_cast<std::uint64_t>(pool_active));
-    c.status = CoreState::Status::Running;
-    c.cv.notify_all();
-  }
-
-  /// Pop the next valid, currently-grantable offer: own deque from the back
-  /// (warmest), then the other slots' deques from the front (oldest — a
-  /// steal). Stale entries (granted, dispatched or crashed since queuing)
-  /// are discarded; an entry whose core is no longer below a fresh horizon
-  /// has its offer withdrawn (the scheduler re-offers once the horizon
-  /// grows). Lock must be held.
-  CoreState* pop_offer(int slot, noc::SimTime& horizon_out, bool& stolen) {
-    for (int k = 0; k < pool_width; ++k) {
-      auto& dq = pool_offers[static_cast<std::size_t>((slot + k) % pool_width)];
-      while (!dq.empty()) {
-        CoreState* c = k == 0 ? dq.back() : dq.front();
-        if (k == 0) dq.pop_back(); else dq.pop_front();
-        if (!c->offered || c->status != CoreState::Status::Ready || c->dead)
-          continue;  // superseded since it was queued
-        const noc::SimTime h = horizon_of(c->rank);
-        if (c->vtime < h) {
-          horizon_out = h;
-          stolen = k != 0;
-          return c;
-        }
-        c->offered = false;  // not grantable right now
-      }
-    }
-    return nullptr;
-  }
-
-  /// A released core stops running (parks, blocks, finishes or unwinds):
-  /// hand its host slot to the next grantable offer, or shrink the active
-  /// pool. Safe to call when not released. Lock must be held.
-  void leave_released(CoreState& st) {
-    if (!st.released) return;
-    st.released = false;
-    const int slot = st.slot;
-    st.slot = -1;
-    if (slot < 0) return;
-    if (!draining && !shutdown) {
-      noc::SimTime h = 0;
-      bool stolen = false;
-      if (CoreState* next = pop_offer(slot, h, stolen)) {
-        --pool_active;  // wake_grant re-increments: width is unchanged
-        wake_grant(*next, slot, h);
-        ++hp_stats.handoffs;
-        if (stolen) ++hp_stats.steals;
-        return;
-      }
-    }
-    --pool_active;
-    free_slots.push_back(slot);
-  }
-
-  /// One granting pass: compute every core's release horizon and give each
-  /// grantable Ready core (not mid-operation, clock below its horizon)
-  /// either a free slot — woken immediately — or an offer on a deque for a
-  /// parking core to pick up. Lock must be held.
-  std::size_t offer_grants() {
-    fill_horizon_input();
-    initiation_bounds(hz_cores, hz_model, hz_bounds);
-    release_horizons(hz_cores, hz_model, hz_bounds, hz_horizons);
-    std::size_t granted = 0;
-    for (auto& cp : cores) {
-      CoreState& c = *cp;
-      if (c.status != CoreState::Status::Ready || c.in_op || c.dead ||
-          c.released || c.offered)
-        continue;
-      const noc::SimTime h = hz_horizons[static_cast<std::size_t>(c.rank)];
-      if (c.vtime >= h) continue;
-      ++granted;
-      if (!free_slots.empty()) {
-        const int slot = free_slots.back();
-        free_slots.pop_back();
-        wake_grant(c, slot, h);
-      } else {
-        c.offered = true;
-        pool_offers[offer_rr++ % static_cast<std::size_t>(pool_width)].push_back(&c);
-      }
-    }
-    if (granted > 0) {
-      ++hp_stats.windows;
-      hp_stats.releases += granted;
-    }
-    return granted;
-  }
-
-  /// True while some released core could still commit an action the serial
-  /// schedule orders before a core dispatch at (t, rank) — strict
-  /// lexicographic (vtime, rank) order, the serial pick rule. Lock held.
-  bool released_blocks_core(noc::SimTime t, int rank) const {
-    for (const auto& c : cores)
-      if (c->released && (c->vtime < t || (c->vtime == t && c->rank < rank)))
-        return true;
-    return false;
-  }
-
-  /// True while some released core forbids firing the event at `t` with
-  /// target `target`: a released core below t could still commit
-  /// earlier-ordered work; the event's own target must be parked (the
-  /// callback mutates its state and writes its obs shard); an unapplied
-  /// event-indexed crash makes every fired event a potential killer of its
-  /// named rank; an untargeted event could touch anyone. Lock held.
-  bool released_blocks_event(noc::SimTime t, int target) const {
-    bool any_released = false;
-    for (const auto& c : cores) {
-      if (!c->released) continue;
-      any_released = true;
-      if (c->vtime < t) return true;
-      if (c->rank == target) return true;
-    }
-    if (!any_released) return false;
-    if (target < 0) return true;
-    for (const PendingEventCrash& ec : event_crashes)
-      if (!ec.applied && cores[static_cast<std::size_t>(ec.rank)]->released)
-        return true;
-    return false;
-  }
-
-  /// Park the scheduler until pool state changes: a released core parks,
-  /// blocks, finishes — or commits its clock to or past `below` (the
-  /// commit fast path stays notification-free under that time). Lock held.
-  void sched_wait(std::unique_lock<std::mutex>& lock, noc::SimTime below) {
-    sched_wait_below = below;
-    sched_cv.wait(lock);
-    sched_wait_below = kInf;
   }
 
   std::string state_dump() const {
@@ -1112,28 +893,18 @@ struct SpmdRuntime::Impl {
     return os.str();
   }
 
-  /// Wake every parked thread with the shutdown flag and wait for them to
-  /// acknowledge by reaching Done. Lock must be held.
-  void shutdown_all(std::unique_lock<std::mutex>& lock) {
+  /// Unwind every unfinished core with the shutdown flag set, so each
+  /// fiber's stack objects are destroyed before its stack is released.
+  void shutdown_all() {
     shutdown = true;
-    for (auto& c : cores) c->cv.notify_all();
-    sched_cv.wait(lock, [&] {
-      return std::all_of(cores.begin(), cores.end(), [](const auto& c) {
-        return c->status == CoreState::Status::Done;
-      });
-    });
-  }
-
-  void join_all() {
     for (auto& c : cores)
-      if (c->thread.joinable()) c->thread.join();
+      if (c->status != CoreState::Status::Done) unwind(*c);
   }
 
-  /// No runnable core, nothing pending, nobody released: classify the stall
-  /// (program error vs fault-attributable stall vs genuine deadlock), shut
-  /// the farm down, and either record `failure` or throw. Lock must be held.
-  void report_stall(std::unique_lock<std::mutex>& lock,
-                    std::exception_ptr& failure) {
+  /// No runnable core and nothing pending: classify the stall (program error
+  /// vs fault-attributable stall vs genuine deadlock), shut the farm down,
+  /// and either record `failure` or throw.
+  void report_stall(std::exception_ptr& failure) {
     for (auto& c : cores)
       if (c->error) failure = c->error;
     const std::string dump = state_dump();
@@ -1168,10 +939,8 @@ struct SpmdRuntime::Impl {
         }
       }
     }
-    shutdown_all(lock);
+    shutdown_all();
     if (failure) return;
-    lock.unlock();
-    join_all();
     if (fault_stall)
       throw FaultStallError("fault-induced stall: surviving cores wait on "
                             "crashed core(s) " +
@@ -1179,12 +948,12 @@ struct SpmdRuntime::Impl {
     throw DeadlockError("simulation deadlock: all cores blocked\n" + dump);
   }
 
-  /// The legacy one-at-a-time scheduler (threads <= 1, and every chk run):
-  /// kept byte-for-byte, including the chk schedule perturbation. Returns
-  /// with every core Done or `failure` set (report_stall may throw instead).
-  /// Lock must be held.
-  void run_serial_loop(std::unique_lock<std::mutex>& lock,
-                       std::exception_ptr& failure) {
+  /// The conservative one-at-a-time scheduler: fire the earliest event, or
+  /// dispatch the ready core with the smallest virtual time (ties: events
+  /// first, then lowest rank, unless chk perturbation or an mc session picks
+  /// among tied cores). Returns with every core Done or `failure` set
+  /// (report_stall may throw instead).
+  void run_loop(std::exception_ptr& failure) {
     for (;;) {
       bool all_done = true;
       CoreState* pick = nullptr;
@@ -1201,7 +970,6 @@ struct SpmdRuntime::Impl {
       const noc::SimTime t_core = pick != nullptr ? pick->vtime : kInf;
 
       if (!queue.empty() && t_evt <= t_core) {
-        flush_local_before(t_evt, -1);  // events outrank same-instant core ops
         if (mc != nullptr && queue.tie_count() > 1) {
           // EventTie decision: several events due at the same instant. The
           // session picks which member of the head group fires; choice 0 is
@@ -1213,11 +981,11 @@ struct SpmdRuntime::Impl {
           queue.run_one();  // deliveries may wake blocked cores, or kill one
         }
         apply_event_crashes();  // crash-at-event-K triggers ride the count
-        reap_dead(lock);  // let just-crashed threads unwind to Done first
+        reap_dead();  // let just-crashed fibers unwind to Done first
         continue;
       }
       if (pick == nullptr) {
-        report_stall(lock, failure);
+        report_stall(failure);
         return;
       }
       if (mc != nullptr) {
@@ -1249,110 +1017,12 @@ struct SpmdRuntime::Impl {
           pick = tied[static_cast<std::size_t>(chk_shuffle_next(chk_rng) %
                                                tied.size())];
       }
-      flush_local_before(pick->vtime, pick->rank);
-      dispatch(*pick, lock);
+      dispatch(*pick);
       if (pick->status == CoreState::Status::Done && pick->error) {
         failure = pick->error;
-        shutdown_all(lock);
+        shutdown_all();
         return;
       }
-    }
-  }
-
-  /// The horizon/work-stealing scheduler (threads > 1). Serial actions —
-  /// events and communication-class dispatches — run in exactly the serial
-  /// schedule's order; between them, cores granted a pool slot run their
-  /// compute below their release horizons on real host threads. The two
-  /// admission predicates (released_blocks_event / released_blocks_core)
-  /// guarantee no released core can still commit work the serial order
-  /// places earlier, which is what keeps every simulated result
-  /// bit-identical to run_serial_loop. Lock must be held.
-  void run_parallel_loop(std::unique_lock<std::mutex>& lock,
-                         std::exception_ptr& failure) {
-    pool_width = std::max(cfg.host.threads, 2);
-    pool_offers.assign(static_cast<std::size_t>(pool_width), {});
-    free_slots.clear();
-    for (int s = pool_width; s-- > 0;) free_slots.push_back(s);
-    l_min = network.min_delivery_delay(kMsgHeaderBytes);
-
-    for (;;) {
-      // Surface a released-mode program failure exactly as the serial
-      // schedule would: stop granting, drain the pool, then pick the error
-      // the serial order reaches first (lowest finish, ties to low rank).
-      CoreState* bad = nullptr;
-      const auto worse = [](const CoreState* a, const CoreState* b) {
-        return b == nullptr || a->report.finish < b->report.finish ||
-               (a->report.finish == b->report.finish && a->rank < b->rank);
-      };
-      for (auto& c : cores)
-        if (c->status == CoreState::Status::Done && c->error && worse(c.get(), bad))
-          bad = c.get();
-      if (bad != nullptr) {
-        draining = true;
-        sched_cv.wait(lock, [&] {
-          return std::none_of(cores.begin(), cores.end(),
-                              [](const auto& c) { return c->released; });
-        });
-        for (auto& c : cores)  // drained cores may have erred even earlier
-          if (c->status == CoreState::Status::Done && c->error && worse(c.get(), bad))
-            bad = c.get();
-        failure = bad->error;
-        shutdown_all(lock);
-        return;
-      }
-
-      bool all_done = true;
-      bool any_released = false;
-      CoreState* pick = nullptr;
-      for (auto& c : cores) {
-        if (c->released) any_released = true;
-        if (c->status == CoreState::Status::Done) continue;
-        all_done = false;
-        if (c->status == CoreState::Status::Ready &&
-            (pick == nullptr || c->vtime < pick->vtime))
-          pick = c.get();
-      }
-      if (all_done) return;
-
-      const noc::SimTime t_evt = queue.empty() ? kInf : queue.next_time();
-
-      if (!queue.empty() && (pick == nullptr || t_evt <= pick->vtime)) {
-        if (released_blocks_event(t_evt, queue.next_target())) {
-          sched_wait(lock, t_evt);
-          continue;
-        }
-        flush_local_before(t_evt, -1);  // events outrank same-instant core ops
-        queue.run_one();
-        apply_event_crashes();
-        reap_dead(lock);
-        continue;  // batched drain: consecutive due events fire back-to-back
-      }
-      if (pick == nullptr) {
-        if (any_released) {  // running compute will park, block or finish
-          sched_wait(lock, kInf);
-          continue;
-        }
-        report_stall(lock, failure);
-        return;
-      }
-
-      // Grant whatever can run ahead (possibly including `pick`).
-      offer_grants();
-      if (pick->released) continue;  // became pool work; re-evaluate
-      if (pick->offered) {
-        // Grantable, but the pool is full: a parking core will hand its slot
-        // over faster than a serial round-trip here. Wait for pool churn.
-        sched_wait(lock, kInf);
-        continue;
-      }
-      // `pick` needs the serial token; admit it only once no released core
-      // can still commit earlier-ordered work.
-      if (released_blocks_core(pick->vtime, pick->rank)) {
-        sched_wait(lock, pick->vtime);
-        continue;
-      }
-      flush_local_before(pick->vtime, pick->rank);
-      dispatch(*pick, lock);
     }
   }
 };
@@ -1369,7 +1039,7 @@ const CoreTimingModel& CoreCtx::timing() const noexcept {
 void CoreCtx::charge_cycles(std::uint64_t cycles) { rt_->impl_->op_charge_cycles(*st_, cycles); }
 double CoreCtx::freq_scale() const noexcept { return rt_->impl_->freq_scale_of(st_->rank); }
 void CoreCtx::set_freq_scale(double scale) { rt_->impl_->op_set_freq(*st_, scale); }
-void CoreCtx::charge(noc::SimTime dt) { rt_->impl_->op_charge(*st_, dt); }
+void CoreCtx::charge(noc::SimTime dt) { rt_->impl_->advance(*st_, dt); }
 void CoreCtx::dram_read(std::uint64_t bytes) { rt_->impl_->op_dram_read(*st_, bytes); }
 void CoreCtx::send(int dst, bio::Bytes payload) {
   rt_->impl_->op_send(*st_, dst, std::move(payload));
@@ -1410,21 +1080,13 @@ void CoreCtx::mc_proto(mc::ProtoKind kind, std::uint64_t a, std::uint64_t b) {
 // ---- SpmdRuntime -----------------------------------------------------------
 
 SpmdRuntime::SpmdRuntime(RuntimeConfig cfg)
-    : cfg_(cfg), impl_(std::make_unique<Impl>(cfg_)) {}
+    : cfg_(cfg), impl_(std::make_unique<Impl>(*this, cfg_)) {}
 
 SpmdRuntime::~SpmdRuntime() {
-  if (impl_) {
-    {
-      std::unique_lock lock(impl_->m);
-      if (!impl_->cores.empty() && !impl_->shutdown) {
-        // run() always joins before returning; reaching here means run()
-        // never completed (exception during setup). Best effort cleanup.
-        impl_->shutdown = true;
-        for (auto& c : impl_->cores) c->cv.notify_all();
-      }
-    }
-    impl_->join_all();
-  }
+  // run() leaves every core Done unless the scheduler itself threw (an
+  // event callback or an mc replay divergence): unwind whatever fibers are
+  // still suspended so nothing on their stacks leaks.
+  if (impl_) impl_->shutdown_all();
 }
 
 const noc::NetworkStats& SpmdRuntime::network_stats() const noexcept {
@@ -1439,10 +1101,6 @@ const std::vector<TraceEvent>& SpmdRuntime::trace() const noexcept {
   return impl_->trace;
 }
 
-const HostParallelStats& SpmdRuntime::host_parallel_stats() const noexcept {
-  return impl_->hp_stats;
-}
-
 std::shared_ptr<obs::Recorder> SpmdRuntime::obs() const noexcept {
   return impl_->rec;
 }
@@ -1454,7 +1112,7 @@ std::shared_ptr<chk::Checker> SpmdRuntime::chk() const noexcept {
 obs::Handle CoreCtx::obs() const noexcept { return rt_->impl_->oh(st_->rank); }
 
 HostParallelism HostParallelism::hardware() noexcept {
-  const unsigned n = std::thread::hardware_concurrency();
+  const long n = sysconf(_SC_NPROCESSORS_ONLN);
   return HostParallelism{n > 1 ? static_cast<int>(n) : 1};
 }
 
@@ -1465,7 +1123,10 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   if (im.used) throw SimError("run: SpmdRuntime is single-use; create a new instance");
   im.used = true;
   im.nranks = nranks;
-  im.parallel = im.cfg.host.threads > 1;
+  im.program = &program;
+#ifdef RCK_FIBER_TSAN
+  im.sched_tsan = __tsan_get_current_fiber();
+#endif
 
   if (im.cfg.chk.active()) {
     im.chk = std::make_shared<chk::Checker>(im.cfg.chk, nranks,
@@ -1477,22 +1138,13 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
     im.chk_sites.probe = im.chk->site("scc.probe");
     im.chk_sites.wait_any = im.chk->site("scc.wait_any");
     im.chk_sites.wait_any_timeout = im.chk->site("scc.wait_any_timeout");
-    // Every operation is a checker interception point, so there is no
-    // compute-only stretch left for a parallel window to overlap; forcing
-    // the serial scheduler keeps the checker lock-free, and simulated
-    // results are identical either way (see HostParallelism).
-    im.parallel = false;
     im.chk_rng = im.cfg.chk.schedule_seed;
   }
 
-  if (im.cfg.mc) {
-    // Every scheduling tie is a decision point the session must see in
-    // serial order, so mc forces the serial scheduler exactly as chk does;
-    // a session that always answers 0 leaves every simulated result
-    // bit-identical to an mc-off run.
-    im.mc = im.cfg.mc.get();
-    im.parallel = false;
-  }
+  // Every scheduling tie becomes a decision point the session resolves; a
+  // session that always answers 0 leaves every simulated result
+  // bit-identical to an mc-off run.
+  if (im.cfg.mc) im.mc = im.cfg.mc.get();
 
   if (im.cfg.obs.active()) {
     im.rec = std::make_shared<obs::Recorder>(im.cfg.obs, nranks);
@@ -1546,56 +1198,20 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
         c.at, [&im, &victim, at = c.at] { im.apply_crash(victim, at); }, c.rank,
         noc::EventClass::Crash);
   }
-  // Spawn a program thread for one core; each parks until the scheduler
-  // admits it. Shared between the initial spawn loop and fault-plan restart
-  // events, which re-run the program on a revived core.
-  const auto spawn_thread = [this, &program](CoreState& st) {
-    CoreCtx ctx(*this, st);
-    st.thread = std::thread([this, &st, &program, ctx]() mutable {
-      Impl& impl = *this->impl_;
-      {
-        std::unique_lock lock(impl.m);
-        st.cv.wait(lock, [&] {
-          return st.status == CoreState::Status::Running || impl.shutdown || st.dead;
-        });
-        if (impl.shutdown || st.dead) {
-          st.released = false;
-          st.status = CoreState::Status::Done;
-          st.report.finish = st.vtime;
-          impl.sched_cv.notify_all();
-          return;
-        }
-      }
-      try {
-        program(ctx);
-      } catch (const AbortSim&) {
-        // unwound by shutdown; nothing to record
-      } catch (const CrashUnwind&) {
-        // this core was killed by the fault plan; its report says so
-      } catch (...) {
-        std::unique_lock lock(impl.m);
-        st.error = std::current_exception();
-      }
-      std::unique_lock lock(impl.m);
-      impl.leave_released(st);  // a released program may finish mid-grant
-      st.status = CoreState::Status::Done;
-      st.report.finish = st.vtime;
-      impl.sched_cv.notify_all();
-    });
-  };
-  // Restart events: revive a crashed core with a fresh inbox and a new
-  // program thread. Scheduled after the crash events so a same-instant
-  // crash/restart pair applies in crash-then-restart order. A restart whose
-  // rank is not dead (never crashed, or finished normally) is a no-op.
+  // Restart events: revive a crashed core with a fresh inbox; its next
+  // dispatch runs the program from the start on a fresh fiber. Scheduled
+  // after the crash events so a same-instant crash/restart pair applies in
+  // crash-then-restart order. A restart whose rank is not dead (never
+  // crashed, or finished normally) is a no-op.
   for (const FaultPlan::Restart& rs : im.cfg.faults.restarts) {
     CoreState& victim = *im.cores[static_cast<std::size_t>(rs.rank)];
     im.queue.schedule_at(
         rs.at,
-        [&im, &victim, at = rs.at, &spawn_thread] {
+        [&im, &victim, at = rs.at] {
           if (!victim.dead || victim.status != CoreState::Status::Done) return;
-          // The crashed thread has fully unwound (reap_dead runs after every
-          // event) and no longer touches shared state; reclaim it.
-          if (victim.thread.joinable()) victim.thread.join();
+          // The crashed fiber has fully unwound (reap_dead runs after every
+          // event) and is never resumed; release its stack.
+          victim.fiber.reset();
           victim.inbox.clear();
           victim.rr_cursor = 0;
           victim.dead = false;
@@ -1603,10 +1219,6 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
           victim.in_barrier = false;
           victim.wait_src = CoreState::kWaitNone;
           victim.wait_set.clear();
-          victim.released = false;
-          victim.offered = false;
-          victim.slot = -1;
-          victim.in_op = false;
           ++victim.wait_epoch;  // stale timers from the previous life are void
           victim.vtime = std::max(victim.vtime, at);
           victim.status = CoreState::Status::Ready;
@@ -1618,26 +1230,16 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
             h.instant(obs::Lane::Core, h.ids().n_restart, at,
                       static_cast<std::uint64_t>(victim.rank));
           }
-          spawn_thread(victim);  // fresh thread parks until dispatched
         },
         rs.rank, noc::EventClass::Restart);
   }
-  for (int r = 0; r < nranks; ++r)
-    spawn_thread(*im.cores[static_cast<std::size_t>(r)]);
 
   std::exception_ptr failure;
-  {
-    std::unique_lock lock(im.m);
-    // after_events == 0 means "crash before anything fires".
-    im.apply_event_crashes();
-    im.reap_dead(lock);
-    if (im.parallel)
-      im.run_parallel_loop(lock, failure);
-    else
-      im.run_serial_loop(lock, failure);
-    if (!failure) im.flush_local_all();
-  }
-  im.join_all();
+  // after_events == 0 means "crash before anything fires".
+  im.apply_event_crashes();
+  im.reap_dead();
+  im.run_loop(failure);
+  for (auto& c : im.cores) c->fiber.reset();  // every core is Done
 
   if (!failure) {
     for (auto& c : im.cores)
@@ -1646,9 +1248,8 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   if (failure) std::rethrow_exception(failure);
 
   if (im.rec) {
-    // Import the (already deterministically merged) activity trace as the
-    // per-core lanes. Appending in global trace order keeps each shard's
-    // sequence consistent with the serial schedule.
+    // Import the activity trace as the per-core lanes. Appending in global
+    // trace order keeps each shard's sequence consistent with the schedule.
     const obs::Std& ids = im.rec->std_ids();
     for (const TraceEvent& ev : im.trace) {
       obs::NameId name = ids.n_compute;

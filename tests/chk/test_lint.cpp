@@ -162,6 +162,40 @@ TEST(LintHotPath, AllocationBansOnlyInKernelFiles) {
                        "hot-path-alloc"));
 }
 
+TEST(LintFiberBlocking, BansBlockingPrimitivesWhereCoresRun) {
+  // Simulated cores are fibers on one thread: each std:: blocking primitive
+  // fires in every library a core's code runs in.
+  for (const std::string path :
+       {"src/scc/x.cpp", "src/noc/x.cpp", "src/rcce/x.cpp", "src/rckskel/x.cpp"}) {
+    for (const std::string decl :
+         {"std::thread t(f);\n", "std::jthread t(f);\n", "std::mutex m;\n",
+          "std::condition_variable cv;\n", "auto f = std::async(g);\n"}) {
+      SCOPED_TRACE(path + ": " + decl);
+      const auto findings = lint_file(path, decl);
+      ASSERT_TRUE(has_rule(findings, "fiber-blocking"));
+      EXPECT_EQ(findings.front().line, 1);
+    }
+  }
+  // The host-side pre-pass (rckalign) may use threads.
+  EXPECT_FALSE(has_rule(lint_file("src/rckalign/x.cpp", "std::thread t(f);\n"),
+                        "fiber-blocking"));
+}
+
+TEST(LintFiberBlocking, OnlyStdQualifiedIdentifiersInCodeFire) {
+  const std::string benign =
+      "// a std::mutex here would stall every fiber\n"
+      "const char* s = \"std::thread\";\n"
+      "int thread_count = 0; my::mutex m; async_io(); this_thread();\n"
+      "mystd::thread t;\n";
+  EXPECT_FALSE(has_rule(lint_file("src/scc/x.cpp", benign), "fiber-blocking"));
+  EXPECT_TRUE(lint_file("src/scc/x.cpp",
+                        "std::mutex m;  // rck-lint: allow(fiber-blocking)\n")
+                  .empty());
+  EXPECT_TRUE(rules_contain("src/rckskel/job.cpp", "fiber-blocking"));
+  EXPECT_FALSE(rules_contain("src/chk/checker.cpp", "fiber-blocking"));
+  EXPECT_FALSE(rules_contain("src/service/service.cpp", "fiber-blocking"));
+}
+
 TEST(LintIncludes, LayoutObligations) {
   EXPECT_TRUE(has_rule(
       lint_file("src/scc/x.cpp", "#include \"../noc/network.hpp\"\n"),

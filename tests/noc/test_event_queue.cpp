@@ -100,48 +100,33 @@ TEST(EventQueue, LargeVolumeStaysOrdered) {
   EXPECT_EQ(q.fired(), 10000u);
 }
 
-TEST(EventQueueTargets, EarliestForTracksPerEntityMinimum) {
-  EventQueue q;
-  q.schedule_at(30, [] {}, /*target=*/0);
-  q.schedule_at(10, [] {}, /*target=*/1);
-  q.schedule_at(50, [] {}, /*target=*/1);
-  EXPECT_EQ(q.earliest_for(0), 30u);
-  EXPECT_EQ(q.earliest_for(1), 10u);
-  EXPECT_EQ(q.earliest_for(2), kTimeInfinity);  // nothing can touch entity 2
-  EXPECT_EQ(q.lookahead(), 10u);
-  EXPECT_EQ(q.next_target(), 1);
-}
-
 TEST(EventQueueTargets, UntargetedEventsAffectEveryEntity) {
+  // Targets and classes never change the order; they are reported with the
+  // head tie group so the model checker can judge commutation, and an
+  // untargeted event stays marked as touching anything.
   EventQueue q;
-  q.schedule_at(40, [] {}, /*target=*/3);
+  q.schedule_at(25, [] {}, /*target=*/3, EventClass::Delivery);
   q.schedule_at(25, [] {});  // kUntargeted: may touch anything
-  EXPECT_EQ(q.earliest_for(3), 25u);
-  EXPECT_EQ(q.earliest_for(7), 25u);
-  EXPECT_EQ(q.next_target(), EventQueue::kUntargeted);
-}
-
-TEST(EventQueueTargets, FiringErasesTheTargetBookkeeping) {
-  EventQueue q;
-  q.schedule_at(10, [] {}, 0);
-  q.schedule_at(20, [] {}, 0);
-  q.schedule_at(15, [] {});
-  q.run_one();  // fires the t=10 event targeting 0
-  EXPECT_EQ(q.earliest_for(0), 15u);  // untargeted at 15 now leads
-  q.run_one();  // fires the untargeted t=15 event
-  EXPECT_EQ(q.earliest_for(0), 20u);
-  EXPECT_EQ(q.earliest_for(1), kTimeInfinity);
-  q.run();
-  EXPECT_EQ(q.earliest_for(0), kTimeInfinity);
-  EXPECT_EQ(q.lookahead(), kTimeInfinity);
+  q.schedule_at(40, [] {}, /*target=*/7, EventClass::Timer);
+  std::vector<EventQueue::TieRef> tied;
+  q.tied(tied);
+  ASSERT_EQ(tied.size(), 2u);
+  EXPECT_EQ(tied[0].target, 3);
+  EXPECT_EQ(tied[0].cls, EventClass::Delivery);
+  EXPECT_EQ(tied[1].target, EventQueue::kUntargeted);
+  EXPECT_EQ(tied[1].cls, EventClass::Generic);
 }
 
 TEST(EventQueueTargets, EventsSchedulingTargetedEventsStayConsistent) {
   EventQueue q;
-  q.schedule_at(5, [&] { q.schedule_after(10, [] {}, 2); }, 1);
+  q.schedule_at(5, [&] { q.schedule_after(10, [] {}, 2, EventClass::Timer); }, 1);
   q.run_one();
-  EXPECT_EQ(q.earliest_for(2), 15u);
-  EXPECT_EQ(q.next_target(), 2);
+  std::vector<EventQueue::TieRef> tied;
+  q.tied(tied);
+  ASSERT_EQ(tied.size(), 1u);
+  EXPECT_EQ(q.next_time(), 15u);
+  EXPECT_EQ(tied[0].target, 2);
+  EXPECT_EQ(tied[0].cls, EventClass::Timer);
 }
 
 TEST(SimTimeConversion, RoundTrips) {

@@ -9,11 +9,14 @@
 namespace rck::noc {
 namespace {
 
+// No padding: gtest prints the param's raw bytes into the test names, so a
+// padding hole would put uninitialized (ASLR-dependent) bytes into them.
 struct TrafficParam {
   std::uint64_t seed;
-  int messages;
+  std::int64_t messages;
   std::uint64_t max_bytes;
 };
+static_assert(sizeof(TrafficParam) == 3 * sizeof(std::uint64_t));
 
 class NetworkProperties : public ::testing::TestWithParam<TrafficParam> {};
 
@@ -30,7 +33,7 @@ TEST_P(NetworkProperties, ConservationAndCausality) {
   std::uint64_t total_bytes = 0;
   int delivered = 0;
   SimTime last_makespan = 0;
-  for (int k = 0; k < p.messages; ++k) {
+  for (std::int64_t k = 0; k < p.messages; ++k) {
     const int src = node(rng);
     const int dst = node(rng);
     const std::uint64_t bytes = size(rng);
@@ -75,7 +78,7 @@ TEST_P(NetworkProperties, DeterministicReplay) {
     EventQueue q;
     Network net(q, Mesh(6, 4));
     SimTime sum = 0;
-    for (int k = 0; k < p.messages; ++k) {
+    for (std::int64_t k = 0; k < p.messages; ++k) {
       const int src = node(rng);
       const int dst = node(rng);
       sum += net.send(src, dst, size(rng), 0, [](SimTime) {});

@@ -1,12 +1,14 @@
-// Determinism regression suite for host-parallel execution.
+// Determinism regression suite for host-thread counts.
 //
-// The contract under test (see DESIGN.md, "Host-parallel execution"): with
-// RuntimeConfig::host.threads > 1 the scheduler may release several program
-// threads at once, but every *simulated* observable — makespan, traces,
-// CoreReports, network statistics, event counts, farm bookkeeping, fault
-// replays — must be byte-identical to the serial scheduler. These tests run
-// the same workloads in both modes and compare everything we can observe,
-// including the paper's CK34 dataset end-to-end and fault-plan replays.
+// The contract under test (see DESIGN.md, "Host execution model"): the
+// simulation runs on one thread, and RuntimeConfig::host.threads only sizes
+// the compute-ahead pre-pass that fills the jobs' TM-align outcomes before
+// the simulation replays them. So the outcome table and every *simulated*
+// observable — makespan, traces, CoreReports, network statistics, event
+// counts, farm bookkeeping, obs bytes, fault replays — must be identical at
+// every thread count and to a run replaying a separately built cache. These
+// tests compare everything we can observe, on synthetic programs and on the
+// paper's CK34 dataset end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +25,7 @@
 namespace rck::scc {
 namespace {
 
-constexpr int kHostThreads = 4;  // parallel-mode width used throughout
+constexpr int kHostThreads = 4;  // multi-threaded pre-pass width used throughout
 
 // ---------------------------------------------------------------------------
 // Runtime-level fixture: a synthetic farm-shaped program (mixed compute,
@@ -53,7 +55,7 @@ RunSnapshot run_program(int nranks, const Program& program, RuntimeConfig cfg) {
 
 // A little master-slaves round: rank 0 hands each slave `rounds` payloads,
 // slaves "compute" an amount derived from the payload and answer; a barrier
-// closes each round. Compute dominates, so parallel windows actually open.
+// closes each round.
 Program mini_farm(int rounds) {
   return [rounds](CoreCtx& ctx) {
     const int n = ctx.nranks();
@@ -90,28 +92,12 @@ RuntimeConfig parallel_cfg() {
   return cfg;
 }
 
+// The runtime itself never reads host.threads: a runtime-level config that
+// sets it must simulate exactly like one that does not.
 TEST(HostParallelDeterminism, MiniFarmMatchesSerialBitForBit) {
   const RunSnapshot serial = run_program(6, mini_farm(4), RuntimeConfig{});
   const RunSnapshot parallel = run_program(6, mini_farm(4), parallel_cfg());
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(HostParallelDeterminism, ParallelWindowsActuallyOpen) {
-  RuntimeConfig cfg = parallel_cfg();
-  cfg.enable_trace = true;
-  SpmdRuntime rt(cfg);
-  rt.run(6, mini_farm(4));
-  const HostParallelStats& hp = rt.host_parallel_stats();
-  EXPECT_GT(hp.windows, 0u);
-  EXPECT_GT(hp.local_ops, 0u);
-  EXPECT_GE(hp.max_width, 2u);
-  EXPECT_GE(hp.releases, hp.windows);
-}
-
-TEST(HostParallelDeterminism, SerialModeKeepsStatsZero) {
-  SpmdRuntime rt(RuntimeConfig{});
-  rt.run(4, mini_farm(2));
-  EXPECT_EQ(rt.host_parallel_stats(), HostParallelStats{});
 }
 
 TEST(HostParallelDeterminism, ReplayTwiceIsIdenticalInEachMode) {
@@ -125,9 +111,8 @@ TEST(HostParallelDeterminism, ReplayTwiceIsIdenticalInEachMode) {
 }
 
 TEST(HostParallelDeterminism, FaultPlanReplaysIdentically) {
-  // Crash one slave mid-run, corrupt a frame, stall DRAM on another: the
-  // fault triggers bound the lookahead horizon, so the parallel scheduler
-  // must reproduce the exact same degraded execution.
+  // Crash one slave mid-run and stall DRAM on another: the degraded
+  // execution must replay exactly, whatever host.threads says.
   RuntimeConfig base;
   base.faults.crashes.push_back({3, noc::kPsPerMs / 2});
   base.faults.stalls.push_back({2, 0, noc::kPsPerMs, 8.0});
@@ -167,7 +152,10 @@ TEST(HostParallelDeterminism, FaultPlanReplaysIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Application-level fixture: the paper's CK34 all-vs-all, end to end.
+// Application-level fixture: the paper's CK34 all-vs-all, end to end. The
+// reference replays a cache built once by the fixture; the runs under test
+// pass no cache, so run_rckalign() computes its own outcome table on the
+// given number of host threads first.
 
 class Ck34Determinism : public ::testing::Test {
  protected:
@@ -182,12 +170,30 @@ class Ck34Determinism : public ::testing::Test {
     dataset_ = nullptr;
   }
 
+  /// Options for an uncached run whose pre-pass uses `host_threads`.
   static rckalign::RckAlignOptions options(int slaves, int host_threads) {
     rckalign::RckAlignOptions o;
     o.slave_count = slaves;
-    o.cache = cache_;
     o.runtime.enable_trace = true;
     o.runtime.host.threads = host_threads;
+    return o;
+  }
+
+  /// Uncached fault-tolerant options. Without a cache the master's cost
+  /// hints are the L1*L2 proxy, far below a CK34 pair's real cycles, so the
+  /// derived leases would all expire; a fixed lease above any pair's
+  /// simulated time keeps the farm on its recovery paths only.
+  static rckalign::RckAlignOptions ft_options(int slaves, int host_threads) {
+    rckalign::RckAlignOptions o = options(slaves, host_threads);
+    o.fault_tolerant = true;
+    o.ft.lease = 60 * noc::kPsPerSec;
+    return o;
+  }
+
+  /// Options for the reference run replaying the fixture's cache.
+  static rckalign::RckAlignOptions cached(int slaves) {
+    rckalign::RckAlignOptions o = options(slaves, 1);
+    o.cache = cache_;
     return o;
   }
 
@@ -211,11 +217,11 @@ rckalign::PairCache* Ck34Determinism::cache_ = nullptr;
 
 TEST_F(Ck34Determinism, AllVsAllBitIdenticalAcrossSlaveCounts) {
   for (const int slaves : {4, 12}) {
-    const auto serial = rckalign::run_rckalign(*dataset_, options(slaves, 1));
-    const auto parallel =
+    const auto reference = rckalign::run_rckalign(*dataset_, cached(slaves));
+    const auto ahead =
         rckalign::run_rckalign(*dataset_, options(slaves, kHostThreads));
-    expect_identical(serial, parallel);
-    EXPECT_EQ(serial.results.size(), 34u * 33u / 2u);
+    expect_identical(reference, ahead);
+    EXPECT_EQ(reference.results.size(), 34u * 33u / 2u);
   }
 }
 
@@ -230,10 +236,9 @@ TEST_F(Ck34Determinism, ReplayTwiceInEachMode) {
 TEST_F(Ck34Determinism, FaultPlanEndToEndBitIdentical) {
   // Calibrate crash times off the clean makespan so faults land mid-run.
   const noc::SimTime base =
-      rckalign::run_rckalign(*dataset_, options(6, 1)).makespan;
+      rckalign::run_rckalign(*dataset_, cached(6)).makespan;
   auto faulty = [&](int threads) {
-    rckalign::RckAlignOptions o = options(6, threads);
-    o.fault_tolerant = true;
+    rckalign::RckAlignOptions o = ft_options(6, threads);
     o.runtime.faults.crashes.push_back({2, base / 4});
     o.runtime.faults.crashes.push_back({5, base / 2});
     o.runtime.faults.messages.push_back(
@@ -247,27 +252,33 @@ TEST_F(Ck34Determinism, FaultPlanEndToEndBitIdentical) {
   EXPECT_EQ(serial.results.size(), 34u * 33u / 2u);
 }
 
-// Thread-count matrix: serial-vs-parallel and replay-twice byte-identity at
-// {2, 4, 8} host threads, composed with everything that constrains the
-// scheduler at once — a chaos FaultPlan (timed master crash under master_ft,
-// slave crash + restart, an event-indexed crash, message corruption, a DRAM
-// stall) and obs sinks enabled. The obs recorder bytes (Chrome trace JSON +
-// metrics snapshot) are compared verbatim: any scheduler that reorders a
-// simulated observable shows up as a byte diff here before it ships.
+// Thread-count matrix at {1, 2, 4, 8} pre-pass threads. The outcome table
+// itself must be identical at every width; then every simulated observable
+// of a run that builds its own table, composed with everything that bends
+// the schedule at once — a chaos FaultPlan (timed master crash under
+// master_ft, slave crash + restart, an event-indexed crash, message
+// corruption, a DRAM stall) and obs sinks enabled — must match the 1-thread
+// run, and replay identically at its own width. The obs recorder bytes
+// (Chrome trace JSON + metrics snapshot) are compared verbatim.
 TEST_F(Ck34Determinism, ThreadMatrixChaosMasterFtObsBitIdentical) {
   constexpr int kSlaves = 6;
+
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("table threads = " + std::to_string(threads));
+    EXPECT_TRUE(rckalign::PairCache::build(*dataset_, threads) == *cache_);
+  }
 
   // Calibrate fault times off the clean master-ft makespan so every fault
   // lands mid-run regardless of timing-model drift.
   auto base_opts = [&](int threads) {
-    rckalign::RckAlignOptions o = options(kSlaves, threads);
-    o.fault_tolerant = true;
+    rckalign::RckAlignOptions o = ft_options(kSlaves, threads);
     o.master_ft = true;
     o.runtime.obs.enable = true;
     return o;
   };
-  const noc::SimTime base =
-      rckalign::run_rckalign(*dataset_, base_opts(1)).makespan;
+  rckalign::RckAlignOptions clean = base_opts(1);
+  clean.cache = cache_;
+  const noc::SimTime base = rckalign::run_rckalign(*dataset_, clean).makespan;
 
   auto chaotic = [&](int threads) {
     rckalign::RckAlignOptions o = base_opts(threads);
@@ -314,10 +325,11 @@ TEST_F(Ck34Determinism, SeedSweepStaysBitIdentical) {
     o.slave_count = 5;
     o.cache = &cache;
     o.runtime.enable_trace = true;
-    const auto serial = rckalign::run_rckalign(ds, o);
+    const auto reference = rckalign::run_rckalign(ds, o);
+    o.cache = nullptr;
     o.runtime.host.threads = kHostThreads;
-    const auto parallel = rckalign::run_rckalign(ds, o);
-    expect_identical(serial, parallel);
+    const auto ahead = rckalign::run_rckalign(ds, o);
+    expect_identical(reference, ahead);
   }
 }
 

@@ -1,221 +1,161 @@
-// Randomized cross-check of the host-parallel scheduler.
+// Randomized cross-check of the compute-ahead pool.
 //
-// Generates small deadlock-free SPMD programs — barrier-separated rounds of
-// random compute, ring exchanges, and master gathers — and runs each one
-// under the serial and the host-parallel scheduler, asserting every
-// simulated observable is identical. The program *shape* is drawn from a
-// seeded RNG before the run, so both executions interpret the same plan.
+// Host threads only ever run the pre-pass that fills a PairCache before the
+// simulation replays it (the simulation itself is single-threaded fibers).
+// These tests draw random ordered key sets — duplicates, self-comparisons,
+// reversed pairs — over a small structure table and fill them at several
+// thread counts, asserting the tables are identical; the run_pairs cases
+// then check that every simulated observable is unchanged as well.
 //
 // This file doubles as the TSan workload: built with RCK_SANITIZE=thread it
-// exercises the parked-thread handoff, window release/join, and per-core
-// trace buffers under real host concurrency.
+// exercises the pool's work claiming, per-thread workspaces, result writes
+// and error hand-off under real host concurrency.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <vector>
 
-#include "rck/noc/network.hpp"
+#include "rck/bio/synthetic.hpp"
+#include "rck/core/error.hpp"
+#include "rck/rckalign/cost_cache.hpp"
+#include "rck/rckalign/pairs.hpp"
 #include "rck/scc/runtime.hpp"
 
 namespace rck::scc {
 namespace {
 
-struct RoundPlan {
-  int shift = 1;                        ///< ring offset for the exchange
-  bool gather = false;                  ///< slaves report to rank 0 after
-  std::vector<std::uint64_t> cycles;    ///< per-rank compute this round
-  std::vector<std::uint32_t> dram;      ///< per-rank DRAM bytes (0 = skip)
-  std::vector<std::uint32_t> payload;   ///< per-rank ring payload size
-};
+using rckalign::PairCache;
 
-struct ProgramPlan {
-  int nranks = 2;
-  std::vector<RoundPlan> rounds;
-};
+/// A small structure table of varied chain lengths.
+std::vector<bio::Protein> make_structures(std::uint64_t seed, int n) {
+  bio::Rng rng(seed);
+  std::vector<bio::Protein> out;
+  for (int i = 0; i < n; ++i)
+    out.push_back(bio::make_protein("p" + std::to_string(i),
+                                    24 + static_cast<int>(rng() % 40), rng));
+  return out;
+}
 
-ProgramPlan make_plan(std::uint64_t seed) {
+std::vector<const bio::Protein*> table_of(const std::vector<bio::Protein>& ps) {
+  std::vector<const bio::Protein*> t;
+  for (const bio::Protein& p : ps) t.push_back(&p);
+  return t;
+}
+
+/// Random ordered keys over an n-entry table, duplicates and a == b included.
+std::vector<PairCache::Key> random_keys(std::uint64_t seed, std::uint32_t n,
+                                        std::size_t count) {
   std::mt19937_64 rng(seed);
-  ProgramPlan plan;
-  plan.nranks = 2 + static_cast<int>(rng() % 7);  // 2..8 cores
-  const int nrounds = 2 + static_cast<int>(rng() % 4);
-  for (int r = 0; r < nrounds; ++r) {
-    RoundPlan round;
-    round.shift = 1 + static_cast<int>(rng() % static_cast<std::uint64_t>(
-                                                   plan.nranks - 1));
-    round.gather = (rng() % 3) == 0;
-    for (int k = 0; k < plan.nranks; ++k) {
-      round.cycles.push_back(10'000 + rng() % 200'000);
-      round.dram.push_back((rng() % 2) ? static_cast<std::uint32_t>(
-                                             256 + rng() % 65536)
-                                       : 0u);
-      round.payload.push_back(static_cast<std::uint32_t>(1 + rng() % 512));
-    }
-    plan.rounds.push_back(std::move(round));
-  }
-  return plan;
+  std::vector<PairCache::Key> keys;
+  for (std::size_t k = 0; k < count; ++k)
+    keys.emplace_back(static_cast<std::uint32_t>(rng() % n),
+                      static_cast<std::uint32_t>(rng() % n));
+  return keys;
 }
 
-// Interpret the plan as an SPMD program. Sends precede receives within a
-// round (send is asynchronous), so every ring exchange is deadlock-free.
-Program interpret(const ProgramPlan& plan) {
-  return [plan](CoreCtx& ctx) {
-    const int n = ctx.nranks();
-    const int me = ctx.rank();
-    for (const RoundPlan& round : plan.rounds) {
-      ctx.charge_cycles(round.cycles[static_cast<std::size_t>(me)]);
-      if (const auto bytes = round.dram[static_cast<std::size_t>(me)])
-        ctx.dram_read(bytes);
-
-      const int dst = (me + round.shift) % n;
-      const int src = (me - round.shift % n + n) % n;
-      bio::Bytes payload(round.payload[static_cast<std::size_t>(me)],
-                         static_cast<std::byte>(me));
-      ctx.send(dst, payload);
-      const bio::Bytes got = ctx.recv(src);
-      ASSERT_EQ(got.size(), round.payload[static_cast<std::size_t>(src)]);
-      ctx.charge_cycles(500 * got.size());
-
-      if (round.gather) {
-        if (me == 0) {
-          std::vector<int> srcs;
-          for (int k = 1; k < n; ++k) srcs.push_back(k);
-          for (int k = 1; k < n; ++k) {
-            const int who = ctx.wait_any(srcs);
-            (void)ctx.recv(who);
-          }
-        } else {
-          ctx.send(0, bio::Bytes{static_cast<std::byte>(me)});
-        }
-      }
-      ctx.barrier();
-    }
-  };
-}
-
-struct RunSnapshot {
+/// Every simulated observable of one run_pairs call over random specs.
+struct PairsSnapshot {
   noc::SimTime makespan = 0;
+  std::vector<rckalign::PairsRow> rows;
   std::vector<CoreReport> reports;
-  std::vector<TraceEvent> trace;
   noc::NetworkStats net;
-  std::uint64_t events = 0;
 
-  bool operator==(const RunSnapshot&) const = default;
+  bool operator==(const PairsSnapshot&) const = default;
 };
 
-RunSnapshot execute(const ProgramPlan& plan, int host_threads) {
-  RuntimeConfig cfg;
-  cfg.enable_trace = true;
-  cfg.host.threads = host_threads;
-  SpmdRuntime rt(cfg);
-  RunSnapshot s;
-  s.makespan = rt.run(plan.nranks, interpret(plan));
-  s.reports = rt.core_reports();
-  s.trace = rt.trace();
-  s.net = rt.network_stats();
-  s.events = rt.events_fired();
-  return s;
+PairsSnapshot run_specs(const std::vector<const bio::Protein*>& table,
+                        const std::vector<rckalign::PairSpec>& specs,
+                        int host_threads) {
+  rckalign::PairsOptions o;
+  o.slave_count = 5;
+  o.runtime.host.threads = host_threads;
+  const rckalign::PairsRun run = rckalign::run_pairs(table, specs, o);
+  return {run.makespan, run.rows, run.core_reports, run.network};
+}
+
+std::vector<rckalign::PairSpec> random_specs(std::uint64_t seed, std::uint32_t n,
+                                             std::size_t count) {
+  std::vector<rckalign::PairSpec> specs;
+  for (const auto& [a, b] : random_keys(seed, n, count))
+    specs.push_back({a, b, (a + b) % 5 == 0 ? rckalign::Method::GaplessRmsd
+                                            : rckalign::Method::TmAlign});
+  return specs;
 }
 
 TEST(HostParallelStress, RandomProgramsMatchSerial) {
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const ProgramPlan plan = make_plan(seed);
-    const RunSnapshot serial = execute(plan, 1);
-    const RunSnapshot parallel = execute(plan, 4);
-    EXPECT_EQ(serial, parallel) << "seed " << seed << " nranks " << plan.nranks;
+  const auto structures = make_structures(7, 6);
+  const auto table = table_of(structures);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto keys = random_keys(seed, 6, 20);
+    const PairCache serial = PairCache::build(table, keys, 1);
+    EXPECT_TRUE(PairCache::build(table, keys, 4) == serial);
+    const auto specs = random_specs(seed, 6, 16);
+    EXPECT_EQ(run_specs(table, specs, 1), run_specs(table, specs, 4));
   }
 }
 
 TEST(HostParallelStress, WiderThreadCountsAgreeToo) {
-  // The window cap must not change results: 2, 4, and 16 host threads all
-  // reproduce the serial execution.
-  const ProgramPlan plan = make_plan(99);
-  const RunSnapshot serial = execute(plan, 1);
-  for (const int threads : {2, 4, 16})
-    EXPECT_EQ(serial, execute(plan, threads)) << threads << " host threads";
-}
-
-TEST(HostParallelStress, HardwareConvenienceMatchesSerial) {
-  const ProgramPlan plan = make_plan(7);
-  RuntimeConfig cfg;
-  cfg.enable_trace = true;
-  cfg.host = HostParallelism::hardware();
-  SpmdRuntime rt(cfg);
-  const noc::SimTime makespan = rt.run(plan.nranks, interpret(plan));
-  EXPECT_EQ(makespan, execute(plan, 1).makespan);
-  EXPECT_GE(HostParallelism::hardware().threads, 1);
-}
-
-TEST(HostParallelStress, RepeatedRunsUnderParallelAreStable) {
-  // Same plan, many parallel runs: host thread scheduling noise must never
-  // leak into simulated results.
-  const ProgramPlan plan = make_plan(1234);
-  const RunSnapshot first = execute(plan, 4);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(first, execute(plan, 4)) << "run " << i;
-}
-
-// ---------------------------------------------------------------------------
-// Steal-heavy workload: many tiny compute sections with heavily skewed
-// per-core durations, punctuated by rare communication. Fast cores burn
-// through their sections and park long before the skewed stragglers, so the
-// scheduler's handoff/steal path (a parking core passing its host slot to
-// the next granted core) churns constantly. Under TSan this is the prime
-// workload for races in slot handoff and per-core trace buffers.
-
-Program steal_heavy(std::uint64_t seed, int sections) {
-  return [seed, sections](CoreCtx& ctx) {
-    const int n = ctx.nranks();
-    const int me = ctx.rank();
-    // Deterministic per-core skew: cores 0, 3, 6, ... get 32x sections.
-    const std::uint64_t skew = (me % 3 == 0) ? 32 : 1;
-    std::mt19937_64 rng(seed * 1000003u + static_cast<std::uint64_t>(me));
-    for (int s = 0; s < sections; ++s) {
-      // Tiny sections: a few hundred cycles each, so the released fast path
-      // commits (and can exhaust its horizon) thousands of times per run.
-      ctx.charge_cycles(200 + rng() % 800 * skew);
-      if (rng() % 16 == 0) ctx.dram_read(64 + rng() % 4096);
-      // Rare ring traffic keeps events in flight so horizons stay finite.
-      if (s % (sections / 4 + 1) == (me % (sections / 4 + 1))) {
-        ctx.send((me + 1) % n, bio::Bytes{static_cast<std::byte>(me)});
-        (void)ctx.recv((me - 1 + n) % n);
-      }
-    }
-    ctx.barrier();
-  };
-}
-
-RunSnapshot execute_program(int nranks, const Program& program,
-                            int host_threads) {
-  RuntimeConfig cfg;
-  cfg.enable_trace = true;
-  cfg.host.threads = host_threads;
-  SpmdRuntime rt(cfg);
-  RunSnapshot s;
-  s.makespan = rt.run(nranks, program);
-  s.reports = rt.core_reports();
-  s.trace = rt.trace();
-  s.net = rt.network_stats();
-  s.events = rt.events_fired();
-  return s;
-}
-
-TEST(HostParallelStress, StealHeavyTinySectionsMatchSerial) {
-  for (const std::uint64_t seed : {3u, 17u, 451u}) {
-    const Program program = steal_heavy(seed, 96);
-    const RunSnapshot serial = execute_program(9, program, 1);
-    for (const int threads : {2, 4, 8})
-      EXPECT_EQ(serial, execute_program(9, program, threads))
-          << "seed " << seed << " threads " << threads;
+  const auto structures = make_structures(11, 7);
+  const auto table = table_of(structures);
+  const auto keys = random_keys(99, 7, 30);
+  const PairCache serial = PairCache::build(table, keys, 1);
+  for (const int threads : {2, 3, 8, 16}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_TRUE(PairCache::build(table, keys, threads) == serial);
   }
 }
 
+TEST(HostParallelStress, HardwareConvenienceMatchesSerial) {
+  const auto structures = make_structures(5, 5);
+  const auto table = table_of(structures);
+  const auto specs = random_specs(3, 5, 12);
+  const int hw = HostParallelism::hardware().threads;
+  EXPECT_GE(hw, 1);
+  EXPECT_EQ(run_specs(table, specs, 1), run_specs(table, specs, hw));
+  // <= 0 asks the pool for one thread per hardware thread.
+  const auto keys = random_keys(3, 5, 12);
+  EXPECT_TRUE(PairCache::build(table, keys, 0) == PairCache::build(table, keys, 1));
+}
+
+TEST(HostParallelStress, RepeatedRunsUnderParallelAreStable) {
+  const auto structures = make_structures(13, 6);
+  const auto table = table_of(structures);
+  const auto keys = random_keys(17, 6, 24);
+  const PairCache first = PairCache::build(table, keys, 4);
+  for (int rep = 0; rep < 6; ++rep)
+    EXPECT_TRUE(PairCache::build(table, keys, 4) == first) << "repeat " << rep;
+}
+
+// More workers than entries: most threads find the claim counter exhausted
+// at once, which is where a racy hand-off would show.
+TEST(HostParallelStress, StealHeavyTinySectionsMatchSerial) {
+  const auto structures = make_structures(21, 3);
+  const auto table = table_of(structures);
+  for (std::size_t count = 1; count <= 4; ++count) {
+    const auto keys = random_keys(count, 3, count);
+    EXPECT_TRUE(PairCache::build(table, keys, 8) == PairCache::build(table, keys, 1));
+  }
+  EXPECT_EQ(PairCache::build(table, {}, 8).pair_count(), 0u);
+}
+
 TEST(HostParallelStress, StealHeavyRepeatedRunsAreStable) {
-  // The skewed workload again, hammered repeatedly at one width: slot
-  // handoff order is wall-clock nondeterministic, simulated bytes are not.
-  const Program program = steal_heavy(29, 128);
-  const RunSnapshot first = execute_program(12, program, 4);
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(first, execute_program(12, program, 4)) << "run " << i;
+  std::vector<bio::Protein> structures = make_structures(29, 4);
+  // A chain below TM-align's minimum length: whichever worker meets it
+  // first stops the pool, and the error surfaces from build() every time.
+  structures.push_back(bio::Protein("tiny", {{'A', 1, {0, 0, 0}},
+                                             {'G', 2, {3.8, 0, 0}},
+                                             {'L', 3, {7.6, 0, 0}}}));
+  const auto table = table_of(structures);
+  std::vector<PairCache::Key> keys = random_keys(31, 4, 12);
+  keys.emplace_back(4, 0);
+  for (int rep = 0; rep < 4; ++rep)
+    EXPECT_THROW(PairCache::build(table, keys, 8), core::CoreError);
+  keys.pop_back();
+  const PairCache good = PairCache::build(table, keys, 1);
+  for (int rep = 0; rep < 4; ++rep)
+    EXPECT_TRUE(PairCache::build(table, keys, 8) == good) << "repeat " << rep;
 }
 
 }  // namespace
