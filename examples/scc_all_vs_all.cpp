@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
       .option("slaves", &slaves, "slave cores (rank 0 is the master)")
       .flag("lpt", &lpt, "longest-first job order (paper used FIFO)")
       .option("batch", &batch,
-              "jobs per farm grant (K>1 packs TM-align pairs across SIMD "
-              "lanes on each slave; results are bit-identical to K=1)")
+              "jobs per farm grant (K>1 only coarsens grants: fewer master "
+              "round trips; every pair's result is identical to K=1)")
       .flag("serial", &serial, "single-core serial baseline instead")
       .flag("distributed", &distributed, "distributed TM-align NFS baseline")
       .option("csv", &csv_path, "write per-pair results as CSV")

@@ -195,7 +195,10 @@ CeResult ce_align(const bio::Protein& a, const bio::Protein& b, const CeOptions&
         }
       }
       if (bi < 0) break;
-      path.insert(path.begin(), {bi, bj, m});
+      // Prepend. Appending and rotating keeps GCC 12's -Wnull-dereference
+      // quiet; it misreads the reallocating insert at begin().
+      path.push_back(CeFragment{bi, bj, m});
+      std::rotate(path.begin(), path.end() - 1, path.end());
     }
 
     // Evaluate: superposed RMSD over the path's residues.

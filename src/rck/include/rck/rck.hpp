@@ -106,10 +106,10 @@ struct RunConfig {
   std::vector<rckalign::Method> methods{rckalign::Method::TmAlign};
   /// LPT (longest-first) job ordering; the paper used FIFO.
   bool lpt = false;
-  /// Farm grant size: jobs per master->slave round trip. K > 1 batches
-  /// grants and packs independent TM-align pairs across SIMD lanes on each
-  /// slave (kern::align_batch). Results and per-job cycle charges are
-  /// bit-identical to K = 1. Plain farm only — incompatible with
+  /// Farm grant size: jobs per master->slave round trip. K > 1 only
+  /// coarsens grants (slaves serve a grant job by job), so results and
+  /// per-job cycle charges are bit-identical to K = 1 and only the
+  /// dispatch schedule changes. Plain farm only — incompatible with
   /// fault_tolerant / master_ft / a non-empty fault plan.
   std::size_t batch = 1;
   /// Optional precomputed pair results (not owned; may be null).
@@ -195,14 +195,15 @@ struct RunConfig {
   /// Returns *this so call sites can chain into to_options()/run().
   const RunConfig& validated() const;
 
-  /// Lower to the legacy options struct (fault_tolerant forced on when the
-  /// fault plan is non-empty; obs copied into runtime.obs). Uses the first
-  /// method — rck::run() rejects multi-method configurations up front.
+  /// Lower to run_rckalign's options: to_pairs_options() plus `cache` and
+  /// the first method — rck::run() rejects multi-method configurations up
+  /// front.
   rckalign::RckAlignOptions to_options() const;
 
   /// Lower to the pair-set options consumed by rckalign::run_pairs() —
-  /// the execution layer under run_query() and the alignment service.
-  /// Same obs/chk propagation rules as to_options().
+  /// the farm program under rck::run(), run_query() and the alignment
+  /// service (fault_tolerant forced on when the fault plan is non-empty;
+  /// obs and chk copied into the runtime).
   rckalign::PairsOptions to_pairs_options() const;
 };
 

@@ -191,18 +191,9 @@ const RunConfig& RunConfig::validated() const {
 
 rckalign::RckAlignOptions RunConfig::to_options() const {
   rckalign::RckAlignOptions opts;
-  opts.slave_count = slave_count;
-  opts.runtime = runtime;
-  opts.runtime.obs = obs;
+  static_cast<rckalign::PairsOptions&>(opts) = to_pairs_options();
   opts.cache = cache;
   opts.method = methods.empty() ? rckalign::Method::TmAlign : methods.front();
-  opts.lpt = lpt;
-  opts.batch = batch;
-  opts.fault_tolerant = fault_tolerant || !runtime.faults.empty();
-  opts.ft = ft;
-  opts.master_ft = master_ft;
-  opts.mft = mft;
-  opts.runtime.chk = chk;
   return opts;
 }
 

@@ -3,9 +3,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "rck/rcce/rcce.hpp"
 #include "rck/rckalign/error.hpp"
-#include "rck/rckskel/skeletons.hpp"
 
 #include "pair_exec.hpp"
 
@@ -44,8 +42,6 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
   if (opts.slave_count < 1 ||
       opts.slave_count + 1 > opts.runtime.chip.core_count())
     throw AlignError("run_rckalign_blocked: slave_count out of range");
-  if (opts.cache != nullptr && opts.cache->chain_count() != dataset.size())
-    throw AlignError("run_rckalign_blocked: cache/dataset mismatch");
   if (opts.batch == 0)
     throw AlignError("run_rckalign_blocked: batch must be >= 1");
 
@@ -55,7 +51,12 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
     for (std::uint32_t i = blocks[b].first; i < blocks[b].second; ++i)
       block_bytes[b] += dataset[i].wire_size();
 
-  const PairCache* cache = opts.cache;
+  const std::vector<const bio::Protein*> structures = detail::structure_table(dataset);
+  PairCache ahead;
+  const PairCache& table = detail::replay_table(
+      structures, detail::all_pair_specs(dataset.size(), Method::TmAlign), opts.cache,
+      opts.runtime.host.threads, ahead);
+
   BlockedRun run;
   run.blocks = static_cast<int>(blocks.size());
   scc::SpmdRuntime rt(opts.runtime);
@@ -98,21 +99,15 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
           ensure_loaded(static_cast<int>(bi));
           if (bj != bi) ensure_loaded(static_cast<int>(bj));
 
-          std::vector<rckskel::Job> jobs;
+          std::vector<PairSpec> specs;
           for (std::uint32_t i = blocks[bi].first; i < blocks[bi].second; ++i) {
             const std::uint32_t j_begin = bi == bj ? i + 1 : blocks[bj].first;
-            for (std::uint32_t j = j_begin; j < blocks[bj].second; ++j) {
-              rckskel::Job job;
-              job.id = next_job_id++;
-              job.payload =
-                  encode_pair_job(i, j, Method::TmAlign, dataset[i], dataset[j]);
-              job.cost_hint = cache != nullptr
-                                  ? cache->pair_cycles(i, j, model)
-                                  : static_cast<std::uint64_t>(dataset[i].size()) *
-                                        dataset[j].size();
-              jobs.push_back(std::move(job));
-            }
+            for (std::uint32_t j = j_begin; j < blocks[bj].second; ++j)
+              specs.push_back(PairSpec{i, j, Method::TmAlign});
           }
+          std::vector<rckskel::Job> jobs = detail::build_jobs(
+              structures, specs, /*wires=*/{}, opts.cache, model, next_job_id);
+          next_job_id += specs.size();
           if (jobs.empty()) continue;
 
           rckskel::FarmOptions fopts;
@@ -122,29 +117,13 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
           fopts.send_terminate = false;
           first_round = false;
           const rckskel::Task task = rckskel::Task::make_par(slaves, std::move(jobs));
-          for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts)) {
-            const PairOutcome o = decode_outcome(std::move(jr.payload));
-            run.results.push_back(PairRow{o.i, o.j, o.tm_norm_a, o.tm_norm_b, o.rmsd,
-                                          o.seq_identity, o.aligned_length,
-                                          jr.worker});
-          }
+          for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts))
+            run.results.push_back(detail::to_row(detail::decode_row(jr)));
         }
       }
       rckskel::terminate(comm, slaves);
-    } else if (opts.batch > 1) {
-      core::BatchWorkspace batch_ws;  // per-slave, reused across grants
-      rckskel::farm_slave_batch(
-          comm, kMaster,
-          [cache, &batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                             std::vector<bio::Bytes>& out) {
-            detail::execute_pair_batch(c, jobs, cache, batch_ws, out);
-          });
     } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, kMaster,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
+      detail::serve_pairs(comm, kMaster, table, opts.batch);
     }
   };
 

@@ -11,157 +11,38 @@
 
 namespace rck::rckalign {
 
-namespace {
-
-
-PairRow to_row(const PairOutcome& o, int worker) {
-  return PairRow{o.i,  o.j,           o.tm_norm_a,      o.tm_norm_b,
-                 o.rmsd, o.seq_identity, o.aligned_length, worker};
-}
-
-std::vector<rckskel::Job> make_jobs(const std::vector<bio::Protein>& dataset,
-                                    Method method, const PairCache* cache,
-                                    const scc::CoreTimingModel& model,
-                                    std::uint64_t id_base) {
-  const auto pairs = all_pairs(dataset.size());
-  std::vector<rckskel::Job> jobs;
-  jobs.reserve(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const auto [i, j] = pairs[k];
-    rckskel::Job job;
-    job.id = id_base + k;
-    job.payload = encode_pair_job(i, j, method, dataset[i], dataset[j]);
-    job.cost_hint = (method == Method::TmAlign && cache != nullptr)
-                        ? cache->pair_cycles(i, j, model)
-                        : static_cast<std::uint64_t>(dataset[i].size()) * dataset[j].size();
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
-}  // namespace
-
-McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions& opts) {
-  if (dataset.size() < 2) throw AlignError("run_mcpsc: need >= 2 chains");
-  const int total_slaves = opts.tmalign_slaves + opts.rmsd_slaves;
-  if (opts.tmalign_slaves < 1 || opts.rmsd_slaves < 1 ||
-      total_slaves + 1 > opts.runtime.chip.core_count())
-    throw AlignError("run_mcpsc: bad slave partition");
-  if (opts.cache != nullptr && opts.cache->chain_count() != dataset.size())
-    throw AlignError("run_mcpsc: cache/dataset mismatch");
-
-  McPscRun run;
-  scc::SpmdRuntime rt(opts.runtime);
-  const PairCache* cache = opts.cache;
-
-  const auto program = [&](scc::CoreCtx& ctx) {
-    rcce::Comm comm(ctx);
-    constexpr int kMaster = 0;
-    if (comm.ue() == kMaster) {
-      std::uint64_t dataset_bytes = 0;
-      for (const bio::Protein& p : dataset) dataset_bytes += p.wire_size();
-      comm.charge_dram_read(dataset_bytes);
-
-      std::vector<int> tm_ues(static_cast<std::size_t>(opts.tmalign_slaves));
-      std::iota(tm_ues.begin(), tm_ues.end(), 1);
-      std::vector<int> rmsd_ues(static_cast<std::size_t>(opts.rmsd_slaves));
-      std::iota(rmsd_ues.begin(), rmsd_ues.end(), 1 + opts.tmalign_slaves);
-
-      const std::size_t npairs = all_pairs(dataset.size()).size();
-      std::vector<rckskel::Task> children;
-      children.push_back(rckskel::Task::make_par(
-          tm_ues, make_jobs(dataset, Method::TmAlign, cache, ctx.timing(), 0)));
-      children.push_back(rckskel::Task::make_par(
-          rmsd_ues, make_jobs(dataset, Method::GaplessRmsd, cache, ctx.timing(), npairs)));
-      const rckskel::Task task =
-          rckskel::Task::make_group(rckskel::Task::Mode::Par, {}, std::move(children));
-
-      rckskel::FarmOptions fopts;
-      fopts.lpt_order = opts.lpt;
-      std::vector<rckskel::JobResult> collected = rckskel::farm(comm, task, fopts);
-      for (rckskel::JobResult& jr : collected) {
-        const PairOutcome o = decode_outcome(std::move(jr.payload));
-        if (o.method == Method::TmAlign)
-          run.tmalign_results.push_back(to_row(o, jr.worker));
-        else
-          run.rmsd_results.push_back(to_row(o, jr.worker));
-      }
-    } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, kMaster,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
-    }
-  };
-
-  run.makespan = rt.run(total_slaves + 1, program);
-  run.core_reports = rt.core_reports();
-  return run;
-}
-
 MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
                                 const MultiMethodOptions& opts) {
   if (dataset.size() < 2)
     throw AlignError("run_multi_method: need >= 2 chains");
   if (opts.groups.empty())
     throw AlignError("run_multi_method: no method groups");
-  int total_slaves = 0;
+
+  // Group-major specs: group g's all-vs-all under its method is specs
+  // [g * npairs, (g + 1) * npairs), served only by group g's slave ranks.
+  const std::vector<const bio::Protein*> structures = detail::structure_table(dataset);
+  const std::size_t npairs = dataset.size() * (dataset.size() - 1) / 2;
+  std::vector<PairSpec> specs;
+  std::vector<detail::SlaveGroup> layout;
+  PairsOptions popts;
+  popts.runtime = opts.runtime;
+  popts.lpt = opts.lpt;
+  popts.slave_count = 0;
   for (const MethodGroup& g : opts.groups) {
-    if (g.slaves < 1) throw AlignError("run_multi_method: empty group");
-    total_slaves += g.slaves;
+    const std::vector<PairSpec> group = detail::all_pair_specs(dataset.size(), g.method);
+    specs.insert(specs.end(), group.begin(), group.end());
+    layout.push_back(detail::SlaveGroup{g.slaves, npairs});
+    popts.slave_count += g.slaves;
   }
-  if (total_slaves + 1 > opts.runtime.chip.core_count())
-    throw AlignError("run_multi_method: does not fit on chip");
-  if (opts.cache != nullptr && opts.cache->chain_count() != dataset.size())
-    throw AlignError("run_multi_method: cache/dataset mismatch");
+  PairsRun pr = detail::run_farm(structures, specs, popts, /*wires=*/{}, opts.cache,
+                                 layout, "run_multi_method");
 
   MultiMethodRun run;
+  run.makespan = pr.makespan;
   run.results.resize(opts.groups.size());
-  scc::SpmdRuntime rt(opts.runtime);
-  const PairCache* cache = opts.cache;
-
-  const std::size_t npairs = all_pairs(dataset.size()).size();
-
-  const auto program = [&](scc::CoreCtx& ctx) {
-    rcce::Comm comm(ctx);
-    constexpr int kMaster = 0;
-    if (comm.ue() == kMaster) {
-      std::uint64_t dataset_bytes = 0;
-      for (const bio::Protein& p : dataset) dataset_bytes += p.wire_size();
-      comm.charge_dram_read(dataset_bytes);
-
-      std::vector<rckskel::Task> children;
-      int next_ue = 1;
-      for (std::size_t g = 0; g < opts.groups.size(); ++g) {
-        std::vector<int> ues(static_cast<std::size_t>(opts.groups[g].slaves));
-        std::iota(ues.begin(), ues.end(), next_ue);
-        next_ue += opts.groups[g].slaves;
-        children.push_back(rckskel::Task::make_par(
-            std::move(ues), make_jobs(dataset, opts.groups[g].method, cache,
-                                      ctx.timing(), g * npairs)));
-      }
-      const rckskel::Task task =
-          rckskel::Task::make_group(rckskel::Task::Mode::Par, {}, std::move(children));
-
-      rckskel::FarmOptions fopts;
-      fopts.lpt_order = opts.lpt;
-      for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts)) {
-        const std::size_t g = jr.id / npairs;
-        const PairOutcome o = decode_outcome(std::move(jr.payload));
-        run.results[g].push_back(to_row(o, jr.worker));
-      }
-    } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, kMaster,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
-    }
-  };
-
-  run.makespan = rt.run(total_slaves + 1, program);
-  run.core_reports = rt.core_reports();
+  for (const PairsRow& row : pr.rows)
+    run.results[row.spec / npairs].push_back(detail::to_row(row));
+  run.core_reports = std::move(pr.core_reports);
   return run;
 }
 
@@ -244,17 +125,21 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
   const int nranks = 1 + g + opts.slave_count;
   if (nranks > opts.runtime.chip.core_count())
     throw AlignError("run_hierarchical: does not fit on chip");
-  if (opts.cache != nullptr && opts.cache->chain_count() != dataset.size())
-    throw AlignError("run_hierarchical: cache/dataset mismatch");
 
   // Split leaf slaves across groups as evenly as possible.
   std::vector<std::vector<int>> group_slaves(static_cast<std::size_t>(g));
   for (int s = 0; s < opts.slave_count; ++s)
     group_slaves[static_cast<std::size_t>(s % g)].push_back(1 + g + s);
 
+  const std::vector<const bio::Protein*> structures = detail::structure_table(dataset);
+  const std::vector<PairSpec> specs =
+      detail::all_pair_specs(dataset.size(), Method::TmAlign);
+  PairCache ahead;
+  const PairCache& table = detail::replay_table(structures, specs, opts.cache,
+                                                opts.runtime.host.threads, ahead);
+
   HierarchyRun run;
   scc::SpmdRuntime rt(opts.runtime);
-  const PairCache* cache = opts.cache;
 
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
@@ -266,7 +151,7 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
       comm.charge_dram_read(dataset_bytes);
 
       const std::vector<rckskel::Job> jobs =
-          make_jobs(dataset, Method::TmAlign, cache, ctx.timing(), 0);
+          detail::build_jobs(structures, specs, /*wires=*/{}, opts.cache, ctx.timing());
 
       // Batching strategy. A group master serves one batch at a time and
       // returns only when the whole batch finished, so small batches create
@@ -316,10 +201,8 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
       const rckskel::Task task = rckskel::Task::make_par(masters, std::move(batches));
       std::vector<rckskel::JobResult> collected = rckskel::farm(comm, task, {});
       for (rckskel::JobResult& batch_res : collected) {
-        for (rckskel::JobResult& jr : unpack_results(batch_res.payload)) {
-          const PairOutcome o = decode_outcome(std::move(jr.payload));
-          run.results.push_back(to_row(o, jr.worker));
-        }
+        for (rckskel::JobResult& jr : unpack_results(batch_res.payload))
+          run.results.push_back(detail::to_row(detail::decode_row(jr)));
       }
     } else if (ue <= g) {
       // Group master: serve batches from the root; farm each batch to the
@@ -342,11 +225,7 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
     } else {
       // Leaf slave: find my group master.
       const int my_master = 1 + (ue - 1 - g) % g;
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, my_master,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
+      detail::serve_pairs(comm, my_master, table);
     }
   };
 

@@ -5,7 +5,9 @@
 // Figures 3-4: the master (first core given to the program) loads every
 // structure, creates one job per unordered pair, and dispatches jobs to
 // slave cores, collecting results by round-robin polling; slaves loop
-// (receive pair -> compare -> return scores) until TERMINATE.
+// (receive pair -> compare -> return scores) until TERMINATE. run_rckalign()
+// describes that job list (all_pairs x method) and runs it on the one farm
+// program behind run_pairs() (pairs.hpp).
 //
 // Also here: the serial baseline runner (one core, structures pre-loaded,
 // matching the paper's modified single-core TM-align).
@@ -19,57 +21,27 @@
 #include "rck/noc/network.hpp"
 #include "rck/rckalign/codec.hpp"
 #include "rck/rckalign/cost_cache.hpp"
+#include "rck/rckalign/pairs.hpp"
 #include "rck/rckskel/skeletons.hpp"
 #include "rck/scc/runtime.hpp"
 
 namespace rck::rckalign {
 
-/// Low-level option bundle for run_rckalign().
+/// Low-level option bundle for run_rckalign(): the farm options of
+/// run_pairs() plus the all-vs-all's method and an optional caller table.
 ///
 /// Prefer the consolidated rck::RunConfig (rck/rck.hpp), which validates its
 /// fields and lowers to this struct via to_options(); RckAlignOptions remains
 /// as the underlying form and for callers that need no validation.
-struct RckAlignOptions {
-  /// Number of slave cores (the paper sweeps 1..47); rank 0 is the master.
-  int slave_count = 47;
-  /// Chip / network / core-model configuration for the simulation.
-  scc::RuntimeConfig runtime{};
-  /// Pairwise results + costs computed up front (also the source of the
-  /// master's exact LPT cost hints). If null and `method` is TM-align,
+struct RckAlignOptions : PairsOptions {
+  /// Pairwise TM-align results + costs computed up front (also the source
+  /// of the master's exact LPT cost hints for TM-align jobs). If null,
   /// run_rckalign() builds one itself on runtime.host.threads host threads
   /// before simulating (compute-ahead); the simulated run is identical
   /// either way.
   const PairCache* cache = nullptr;
   /// Comparison method for all jobs.
   Method method = Method::TmAlign;
-  /// LPT (longest-first) job ordering; the paper used FIFO.
-  bool lpt = false;
-  /// Farm grant size: jobs handed to a slave per round trip. With K > 1 the
-  /// plain farm sends BATCH frames and slaves serve them with
-  /// farm_slave_batch + kern::align_batch, packing independent TM-align
-  /// pairs across SIMD lanes. Per-job results and cycle charges are
-  /// bit-identical to K = 1; only the dispatch schedule (and host wall
-  /// clock) changes. Requires the plain farm: incompatible with
-  /// fault_tolerant / master_ft, which lease and retry individual jobs.
-  std::size_t batch = 1;
-  /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
-  /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
-  /// harmless without faults (simulated makespan is within lease-bookkeeping
-  /// noise of the plain farm).
-  bool fault_tolerant = false;
-  /// Resilience knobs for the fault-tolerant farm (leases, retries,
-  /// timeouts); base.lpt_order is overridden by `lpt` above.
-  rckskel::FaultTolerantFarmOptions ft{};
-  /// Survive the master too: run the checkpointed farm master (periodic
-  /// snapshots + heartbeats replicated to a standby) with the standby on
-  /// rank slave_count + 1. Implies fault_tolerant; requires
-  /// slave_count + 2 cores on the chip. The final matrix is byte-identical
-  /// to the fault-free run even when the master crashes mid-farm.
-  bool master_ft = false;
-  /// Checkpoint cadence and heartbeat knobs for master_ft. The embedded
-  /// mft.ft is overwritten by `ft` above (with standby_ue auto-derived as
-  /// slave_count + 1), so only the master-ft-specific fields matter here.
-  rckskel::MasterFtOptions mft{};
 };
 
 /// One collected pairwise result.

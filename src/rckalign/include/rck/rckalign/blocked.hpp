@@ -20,15 +20,15 @@ namespace rck::rckalign {
 struct BlockedOptions {
   int slave_count = 47;
   scc::RuntimeConfig runtime{};
+  /// As MultiMethodOptions::cache (extensions.hpp).
   const PairCache* cache = nullptr;
   bool lpt = false;
   /// Master memory budget in bytes; chains are grouped into blocks such
   /// that any two blocks fit. 0 means "everything fits" (degenerates to
   /// one block = the plain algorithm).
   std::uint64_t master_memory_bytes = 0;
-  /// Farm grant size (see RckAlignOptions::batch): K > 1 batches grants and
-  /// packs TM-align pairs across SIMD lanes per slave. Bit-identical
-  /// per-job results/cycles; 0 is invalid.
+  /// Farm grant size (see PairsOptions::batch): K > 1 only coarsens grants.
+  /// Bit-identical per-job results/cycles; 0 is invalid.
   std::size_t batch = 1;
 };
 

@@ -3,9 +3,10 @@
 //  1. Multi-criteria PSC (MC-PSC): "all slave processes are not required to
 //     run the same PSC algorithm ... different slave processes can be
 //     running different algorithms on the same data received from the
-//     master". run_mcpsc() partitions the slave cores between TM-align and
-//     a gapless-RMSD method and farms both job streams from one master,
-//     using the per-subtask UE restriction of the rckskel task tree.
+//     master". run_multi_method() partitions the slave cores into one group
+//     per method (TM-align + gapless RMSD is the paper's two-criteria case)
+//     and farms every group's job stream from one master, using the
+//     per-subtask UE restriction of the rckskel task tree.
 //
 //  2. Hierarchical masters: "this can be tackled by implementing a
 //     hierarchy of master processes such that a master does not become a
@@ -22,26 +23,8 @@
 
 namespace rck::rckalign {
 
-struct McPscOptions {
-  scc::RuntimeConfig runtime{};
-  int tmalign_slaves = 32;  ///< cores running TM-align jobs
-  int rmsd_slaves = 15;     ///< cores running gapless-RMSD jobs
-  const PairCache* cache = nullptr;  ///< TM-align costs/results (optional)
-  bool lpt = false;
-};
-
-struct McPscRun {
-  noc::SimTime makespan = 0;
-  std::vector<PairRow> tmalign_results;
-  std::vector<PairRow> rmsd_results;  ///< tm fields zero; rmsd/aligned valid
-  std::vector<scc::CoreReport> core_reports;
-};
-
-/// All-vs-all under two criteria at once on one chip.
-McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions& opts);
-
-/// Generalized MC-PSC: any number of methods, each with its own dedicated
-/// slave-core group (the paper: "partition of cores to different tasks is
+/// MC-PSC: any number of methods, each with its own dedicated slave-core
+/// group (the paper: "partition of cores to different tasks is
 /// implementation specific ... facilitated using the library").
 struct MethodGroup {
   Method method = Method::TmAlign;
@@ -51,7 +34,9 @@ struct MethodGroup {
 struct MultiMethodOptions {
   scc::RuntimeConfig runtime{};
   std::vector<MethodGroup> groups;
-  const PairCache* cache = nullptr;  ///< TM-align replay (optional)
+  /// TM-align replay table and exact cost hints (optional; without one the
+  /// TM-align outcomes are computed ahead on runtime.host.threads).
+  const PairCache* cache = nullptr;
   bool lpt = false;
 };
 
@@ -69,6 +54,7 @@ struct HierarchyOptions {
   scc::RuntimeConfig runtime{};
   int group_count = 4;   ///< number of sub-masters (ranks 1..group_count)
   int slave_count = 40;  ///< total leaf slaves, split evenly across groups
+  /// As MultiMethodOptions::cache.
   const PairCache* cache = nullptr;
   /// Jobs per batch shipped root -> sub-master; 0 means one batch per
   /// group-slave count (keeps every leaf busy per round).

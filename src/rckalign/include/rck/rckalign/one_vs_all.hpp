@@ -29,9 +29,8 @@ struct OneVsAllOptions {
   /// Methods to run per database entry (Algorithm 1's set M).
   std::vector<Method> methods{Method::TmAlign};
   bool lpt = false;
-  /// Farm grant size (see RckAlignOptions::batch): K > 1 batches grants and
-  /// packs TM-align query jobs across SIMD lanes per slave. Bit-identical
-  /// per-job results/cycles; 0 is invalid.
+  /// Farm grant size (see PairsOptions::batch): K > 1 only coarsens grants.
+  /// Bit-identical per-job results/cycles; 0 is invalid.
   std::size_t batch = 1;
 };
 

@@ -1,13 +1,14 @@
-// Generic pair-set execution: the one farm path under every query shape.
+// Generic pair-set execution: the one farm program under every query shape.
 //
-// run_rckalign() farms the all-vs-all pair list; run_one_vs_all() farms a
-// query row; the alignment service (src/service) farms whatever mix of pair
-// / one-vs-all / k-vs-all queries a round coalesced. All three are the same
-// machine — a list of (a, b, method) comparisons over a shared structure
-// table, dispatched to slaves through a FARM skeleton — so run_pairs() is
-// that machine, extracted: callers describe the comparisons as PairSpec
-// indices into a structure table and get back one row per spec, with the
-// full farm/fault-tolerance option surface of run_rckalign available.
+// Every rckalign driver is a list of (a, b, method) comparisons over a
+// structure table, dispatched to slaves through one FARM skeleton:
+// run_rckalign() farms the all-vs-all pair list, run_multi_method() one
+// all-vs-all per method group, run_one_vs_all() a query row, and the
+// alignment service (src/service) whatever mix of pair / one-vs-all /
+// k-vs-all queries a round coalesced. run_pairs() is that program: callers
+// describe the comparisons as PairSpec indices into a structure table and
+// get back one row per spec, with the full farm/fault-tolerance option
+// surface.
 //
 // The structure table is spans of pointers (not values) so a long-running
 // caller can keep its database resident and append transient probes without
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "rck/bio/protein.hpp"
@@ -41,21 +43,42 @@ struct PairSpec {
   bool operator==(const PairSpec&) const = default;
 };
 
-/// Farm configuration for a pair-set run: the scheduling/resilience subset
-/// of RckAlignOptions. There is no cache field: run_pairs() always computes
-/// its TM-align specs ahead on runtime.host.threads host threads and replays
-/// them. Prefer deriving this from a validated rck::RunConfig via
-/// RunConfig::to_pairs_options().
+/// Farm configuration for a pair-set run. There is no cache field:
+/// run_pairs() always computes its TM-align specs ahead on
+/// runtime.host.threads host threads and replays them (RckAlignOptions adds
+/// a caller-supplied table). Prefer deriving this from a validated
+/// rck::RunConfig via RunConfig::to_pairs_options().
 struct PairsOptions {
+  /// Number of slave cores (the paper sweeps 1..47); rank 0 is the master.
   int slave_count = 47;
+  /// Chip / network / core-model configuration for the simulation.
   scc::RuntimeConfig runtime{};
+  /// LPT (longest-first) job ordering; the paper used FIFO.
   bool lpt = false;
-  /// Farm grant size; K > 1 packs TM-align jobs across SIMD lanes per slave
-  /// (bit-identical results). Plain farm only, as in RckAlignOptions.
+  /// Farm grant size: jobs handed to a slave per master round trip. K > 1
+  /// sends BATCH frames that the slave serves job by job, so it only
+  /// coarsens the dispatch schedule (fewer round trips, a different
+  /// makespan); per-job results and cycle charges are identical to K = 1.
+  /// Requires the plain farm: incompatible with fault_tolerant / master_ft,
+  /// which lease and retry individual jobs.
   std::size_t batch = 1;
+  /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
+  /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
+  /// harmless without faults (simulated makespan is within lease-bookkeeping
+  /// noise of the plain farm).
   bool fault_tolerant = false;
+  /// Resilience knobs for the fault-tolerant farm (leases, retries,
+  /// timeouts); base.lpt_order is overridden by `lpt` above.
   rckskel::FaultTolerantFarmOptions ft{};
+  /// Survive the master too: run the checkpointed farm master (periodic
+  /// snapshots + heartbeats replicated to a standby) with the standby on
+  /// rank slave_count + 1. Implies fault_tolerant; requires
+  /// slave_count + 2 cores on the chip. The final rows are byte-identical
+  /// to the fault-free run even when the master crashes mid-farm.
   bool master_ft = false;
+  /// Checkpoint cadence and heartbeat knobs for master_ft. The embedded
+  /// mft.ft is overwritten by `ft` above (with standby_ue auto-derived as
+  /// slave_count + 1), so only the master-ft-specific fields matter here.
   rckskel::MasterFtOptions mft{};
 };
 
@@ -84,6 +107,11 @@ struct PairsRun {
   std::vector<PairsRow> rows;  ///< one per spec, in collection order
   std::vector<scc::CoreReport> core_reports;
   noc::NetworkStats network;
+  std::uint64_t events = 0;
+  /// Activity trace and link-utilization heatmap (populated when
+  /// opts.runtime.enable_trace is set or obs is active).
+  std::vector<scc::TraceEvent> trace;
+  std::string link_heatmap;
   rckskel::FarmReport farm_report{};  ///< populated under the FT farms
   /// Observability recorder (null unless opts.runtime.obs is active).
   std::shared_ptr<obs::Recorder> obs;

@@ -148,7 +148,9 @@ TEST_F(TraceE2E, MetricsMatchSimulationTotals) {
       EXPECT_EQ(row.merged.count, 561u);
       EXPECT_GT(row.merged.min, 0u);
     }
-    if (row.name == "farm.slave_job_ps") EXPECT_EQ(row.merged.count, 561u);
+    if (row.name == "farm.slave_job_ps") {
+      EXPECT_EQ(row.merged.count, 561u);
+    }
   }
 }
 

@@ -2,12 +2,10 @@
 // BlockedOptions::batch, OneVsAllOptions::batch).
 //
 // Batching is a pure scheduling/transport change: slaves pull K jobs per
-// grant and pack TM-align pairs across SIMD lanes (core::kern::align_batch),
-// but every per-job score, cycle charge and observation must be bit-identical
-// to the classic one-job-at-a-time farm. These tests pin that contract at
-// the application layer, on top of the kernel-level identity already proven
-// by tests/core/test_batch.cpp and the protocol-level tests in
-// tests/rckskel/test_batch_farm.cpp.
+// grant and serve them job by job, so every per-job score, cycle charge and
+// observation must be bit-identical to the classic one-job-at-a-time farm.
+// These tests pin that contract at the application layer, on top of the
+// protocol-level tests in tests/rckskel/test_batch_farm.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,8 +33,8 @@ class BatchAppTest : public ::testing::Test {
     cache_ = nullptr;
     dataset_ = nullptr;
   }
-  /// Live (uncached) options so slaves actually run TM-align — and, for
-  /// batch > 1, the lane-packed align_batch path.
+  /// Uncached options: the run computes its own table ahead of the
+  /// simulation, and slaves replay it inside every grant.
   static RckAlignOptions live(int slaves, std::size_t batch) {
     RckAlignOptions o;
     o.slave_count = slaves;

@@ -22,6 +22,15 @@ class ExtensionsTest : public ::testing::Test {
     cache_ = nullptr;
     dataset_ = nullptr;
   }
+  /// MC-PSC: TM-align and gapless RMSD, each on its own slave group.
+  static MultiMethodRun mcpsc(int tmalign_slaves, int rmsd_slaves,
+                              const PairCache* cache = cache_) {
+    MultiMethodOptions opts;
+    opts.groups = {{Method::TmAlign, tmalign_slaves},
+                   {Method::GaplessRmsd, rmsd_slaves}};
+    opts.cache = cache;
+    return run_multi_method(*dataset_, opts);
+  }
   static std::vector<bio::Protein>* dataset_;
   static PairCache* cache_;
 };
@@ -30,52 +39,36 @@ std::vector<bio::Protein>* ExtensionsTest::dataset_ = nullptr;
 PairCache* ExtensionsTest::cache_ = nullptr;
 
 TEST_F(ExtensionsTest, McPscRunsBothMethods) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 3;
-  opts.rmsd_slaves = 2;
-  opts.cache = cache_;
-  const McPscRun run = run_mcpsc(*dataset_, opts);
-  EXPECT_EQ(run.tmalign_results.size(), 28u);
-  EXPECT_EQ(run.rmsd_results.size(), 28u);
+  const MultiMethodRun run = mcpsc(3, 2);
+  EXPECT_EQ(run.results[0].size(), 28u);
+  EXPECT_EQ(run.results[1].size(), 28u);
   EXPECT_GT(run.makespan, 0u);
 }
 
 TEST_F(ExtensionsTest, McPscPartitionRespected) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 3;  // UEs 1..3
-  opts.rmsd_slaves = 2;     // UEs 4..5
-  opts.cache = cache_;
-  const McPscRun run = run_mcpsc(*dataset_, opts);
-  for (const PairRow& r : run.tmalign_results) {
+  const MultiMethodRun run = mcpsc(/*tmalign_slaves=*/3,  // UEs 1..3
+                                   /*rmsd_slaves=*/2);    // UEs 4..5
+  for (const PairRow& r : run.results[0]) {
     EXPECT_GE(r.worker, 1);
     EXPECT_LE(r.worker, 3);
   }
-  for (const PairRow& r : run.rmsd_results) {
+  for (const PairRow& r : run.results[1]) {
     EXPECT_GE(r.worker, 4);
     EXPECT_LE(r.worker, 5);
   }
 }
 
 TEST_F(ExtensionsTest, McPscTmScoresMatchCache) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 2;
-  opts.rmsd_slaves = 1;
-  opts.cache = cache_;
-  const McPscRun run = run_mcpsc(*dataset_, opts);
-  for (const PairRow& r : run.tmalign_results)
+  const MultiMethodRun run = mcpsc(2, 1);
+  for (const PairRow& r : run.results[0])
     EXPECT_DOUBLE_EQ(r.tm_norm_a, cache_->at(r.i, r.j).tm_norm_a);
   // RMSD rows come from the second method; rmsd must be populated.
-  for (const PairRow& r : run.rmsd_results) EXPECT_GT(r.rmsd, 0.0);
+  for (const PairRow& r : run.results[1]) EXPECT_GT(r.rmsd, 0.0);
 }
 
 TEST_F(ExtensionsTest, McPscValidation) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 0;
-  opts.rmsd_slaves = 2;
-  EXPECT_THROW(run_mcpsc(*dataset_, opts), rck::rckalign::AlignError);
-  opts.tmalign_slaves = 40;
-  opts.rmsd_slaves = 40;
-  EXPECT_THROW(run_mcpsc(*dataset_, opts), rck::rckalign::AlignError);
+  EXPECT_THROW(mcpsc(0, 2, nullptr), rck::rckalign::AlignError);
+  EXPECT_THROW(mcpsc(40, 40, nullptr), rck::rckalign::AlignError);
 }
 
 TEST_F(ExtensionsTest, HierarchyCompletesAllPairs) {
@@ -139,6 +132,22 @@ TEST_F(ExtensionsTest, HierarchyValidation) {
   opts.group_count = 10;
   opts.slave_count = 45;  // 1 + 10 + 45 > 48
   EXPECT_THROW(run_hierarchical(*dataset_, opts), rck::rckalign::AlignError);
+}
+
+TEST_F(ExtensionsTest, HierarchyUncachedMatchesCached) {
+  // Leaf slaves replay a compute-ahead table when the caller passes no
+  // cache; rows, makespan and per-core reports must not change.
+  HierarchyOptions cached;
+  cached.group_count = 2;
+  cached.slave_count = 5;
+  cached.cache = cache_;
+  HierarchyOptions uncached = cached;
+  uncached.cache = nullptr;
+  const HierarchyRun a = run_hierarchical(*dataset_, cached);
+  const HierarchyRun b = run_hierarchical(*dataset_, uncached);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.core_reports, b.core_reports);
 }
 
 TEST_F(ExtensionsTest, HierarchyDeterministic) {

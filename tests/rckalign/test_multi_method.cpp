@@ -71,21 +71,20 @@ TEST_F(MultiMethodTest, MethodsAgreeOnFamilies) {
 }
 
 TEST_F(MultiMethodTest, MatchesDedicatedMcPsc) {
-  // The 2-group special case must agree with run_mcpsc on the science.
+  // The paper's two-criteria MC-PSC is the 2-group case. Replaying the
+  // caller's table or a compute-ahead one must schedule it identically.
   MultiMethodOptions general;
   general.groups = {{Method::TmAlign, 3}, {Method::GaplessRmsd, 2}};
   general.cache = cache_;
   const MultiMethodRun a = run_multi_method(*dataset_, general);
 
-  McPscOptions dedicated;
-  dedicated.tmalign_slaves = 3;
-  dedicated.rmsd_slaves = 2;
-  dedicated.cache = cache_;
-  const McPscRun b = run_mcpsc(*dataset_, dedicated);
+  MultiMethodOptions dedicated = general;
+  dedicated.cache = nullptr;
+  const MultiMethodRun b = run_multi_method(*dataset_, dedicated);
 
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.results[0].size(), b.tmalign_results.size());
-  EXPECT_EQ(a.results[1].size(), b.rmsd_results.size());
+  EXPECT_EQ(a.results[0].size(), b.results[0].size());
+  EXPECT_EQ(a.results[1].size(), b.results[1].size());
 }
 
 TEST_F(MultiMethodTest, SequenceFilterMethod) {
@@ -132,6 +131,22 @@ TEST_F(MultiMethodTest, Validation) {
   EXPECT_THROW(run_multi_method(*dataset_, opts), rck::rckalign::AlignError);  // empty group
   opts.groups = {{Method::TmAlign, 30}, {Method::CeAlign, 30}};
   EXPECT_THROW(run_multi_method(*dataset_, opts), rck::rckalign::AlignError);  // too big
+}
+
+TEST_F(MultiMethodTest, UncachedMatchesCached) {
+  // Without a caller cache the TM-align group replays a table computed
+  // ahead of the simulation; every simulated result must equal the run
+  // that replays the caller's PairCache::build.
+  MultiMethodOptions cached;
+  cached.groups = {{Method::TmAlign, 2}, {Method::CeAlign, 2}, {Method::SeqNw, 1}};
+  cached.cache = cache_;
+  MultiMethodOptions uncached = cached;
+  uncached.cache = nullptr;
+  const MultiMethodRun a = run_multi_method(*dataset_, cached);
+  const MultiMethodRun b = run_multi_method(*dataset_, uncached);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.core_reports, b.core_reports);
 }
 
 TEST_F(MultiMethodTest, Deterministic) {
