@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   bool master_ft = false;
   double crash_master_ms = -1.0;
   int host_threads = 1;
-  int batch = 1;
   std::string csv_path;
   obs::Config obs_cfg;
   bool chk_on = false;
@@ -61,9 +60,6 @@ int main(int argc, char** argv) {
   cli.choice("dataset", &dataset_name, kDatasets, "input dataset")
       .option("slaves", &slaves, "slave cores (rank 0 is the master)")
       .flag("lpt", &lpt, "longest-first job order (paper used FIFO)")
-      .option("batch", &batch,
-              "jobs per farm grant (K>1 only coarsens grants: fewer master "
-              "round trips; every pair's result is identical to K=1)")
       .flag("serial", &serial, "single-core serial baseline instead")
       .flag("distributed", &distributed, "distributed TM-align NFS baseline")
       .option("csv", &csv_path, "write per-pair results as CSV")
@@ -128,7 +124,6 @@ int main(int argc, char** argv) {
     RunConfig qcfg;
     qcfg.with_slaves(slaves)
         .with_lpt(lpt)
-        .with_batch(batch < 0 ? 0 : static_cast<std::size_t>(batch))
         .with_host_threads(host_threads == 0
                                ? scc::HostParallelism::hardware().threads
                                : host_threads)
@@ -239,7 +234,6 @@ int main(int argc, char** argv) {
   cfg.with_slaves(slaves)
       .with_cache(&cache)
       .with_lpt(lpt)
-      .with_batch(batch < 0 ? 0 : static_cast<std::size_t>(batch))
       .with_host_threads(host_threads == 0
                              ? scc::HostParallelism::hardware().threads
                              : host_threads)
@@ -262,8 +256,7 @@ int main(int argc, char** argv) {
         .with_mc_witness(mc_witness_path)
         .with_mc_replay(mc_replay_path)
         .with_mc_label(dataset_name + "/" +
-                       (master_ft ? "master-ft"
-                                  : (batch > 1 ? "batch" : "plain-farm")));
+                       (master_ft ? "master-ft" : "plain-farm"));
     McOutcome out;
     try {
       out = mc_replay_path.empty() ? mc_explore(dataset, cfg)

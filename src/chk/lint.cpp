@@ -42,10 +42,9 @@ constexpr std::string_view kFiberBlockingBans[] = {
 
 /// PR 3 SIMD kernel hot-path files: allocation-free by contract
 /// (tests/core/test_alloc_free.cpp asserts it dynamically; the lint rule
-/// keeps the ban visible at review time). The round-2 batch kernel and the
-/// batch-pulling slave loop run the same per-pair hot path K lanes wide, so
-/// they inherit the contract; their grow-only capacity warms carry explicit
-/// waivers.
+/// keeps the ban visible at review time). The round-2 batch kernel runs the
+/// same per-pair hot path K lanes wide, so it inherits the contract; its
+/// grow-only capacity warms carry explicit waivers.
 constexpr std::string_view kHotPathFiles[] = {
     "src/core/simd.hpp",
     "src/core/simd_kernels.cpp",
@@ -53,7 +52,6 @@ constexpr std::string_view kHotPathFiles[] = {
     "src/core/simd_kernels_impl.hpp",
     "src/core/kabsch.cpp",
     "src/core/batch.cpp",
-    "src/rckskel/batch_slave.cpp",
 };
 
 constexpr std::string_view kHotPathBans[] = {
@@ -76,9 +74,8 @@ constexpr std::string_view kKnownErrorCodes[] = {
     "rck.mc.witness",       "rck.noc.invalid",   "rck.obs.io",
     "rck.obs.misuse",       "rck.rcce.invalid",  "rck.scc.deadlock",
     "rck.scc.fault_stall",  "rck.scc.invalid",   "rck.scc.sim",
-    "rck.service.invalid",  "rck.service.overload", "rck.skel.batch",
-    "rck.skel.checkpoint",  "rck.skel.farm_failed", "rck.skel.invalid",
-    "rck.skel.protocol",
+    "rck.service.invalid",  "rck.service.overload", "rck.skel.checkpoint",
+    "rck.skel.farm_failed", "rck.skel.invalid",     "rck.skel.protocol",
 };
 
 bool is_code_char(char c) noexcept {

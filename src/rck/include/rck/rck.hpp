@@ -106,12 +106,6 @@ struct RunConfig {
   std::vector<rckalign::Method> methods{rckalign::Method::TmAlign};
   /// LPT (longest-first) job ordering; the paper used FIFO.
   bool lpt = false;
-  /// Farm grant size: jobs per master->slave round trip. K > 1 only
-  /// coarsens grants (slaves serve a grant job by job), so results and
-  /// per-job cycle charges are bit-identical to K = 1 and only the
-  /// dispatch schedule changes. Plain farm only — incompatible with
-  /// fault_tolerant / master_ft / a non-empty fault plan.
-  std::size_t batch = 1;
   /// Optional precomputed pair results (not owned; may be null).
   const rckalign::PairCache* cache = nullptr;
   /// Fault-tolerant farm (leases, retry, blacklist). Forced on whenever
@@ -163,7 +157,6 @@ struct RunConfig {
   RunConfig& with_max_queries_per_round(std::size_t n) { service.max_queries_per_round = n; return *this; }
   RunConfig& with_fail_on_shed(bool on = true) { service.fail_on_shed = on; return *this; }
   RunConfig& with_lpt(bool on = true) { lpt = on; return *this; }
-  RunConfig& with_batch(std::size_t k) { batch = k; return *this; }
   RunConfig& with_cache(const rckalign::PairCache* c) { cache = c; return *this; }
   RunConfig& with_fault_tolerance(bool on = true) { fault_tolerant = on; return *this; }
   RunConfig& with_ft(const rckskel::FaultTolerantFarmOptions& o) { ft = o; return *this; }
@@ -258,11 +251,28 @@ std::vector<ConfigIssue> validate_query(const Query& q,
                                         std::size_t database_size);
 
 /// Order `hits` method-major (the order of `methods`), probe-minor, each
-/// (method, probe) group ranked by rckalign::outranks and truncated to
-/// `top_k` (0 = unlimited). Shared by run_query() and the service.
+/// (method, probe) group ranked and truncated to `top_k` (0 = unlimited).
+/// TM-align and CE rank by descending query-normalized TM-score, SeqNw by
+/// descending sequence identity, the gapless method by ascending RMSD; ties
+/// break by ascending entry index. Shared by run_query() and the service.
 void rank_query_hits(std::vector<QueryHit>& hits,
                      std::span<const rckalign::Method> methods,
                      std::size_t top_k);
+
+/// Query lowering, shared by run_query() and the service. The structure
+/// table holds the `database_size` entries first and `q`'s probes from
+/// index `probe_base` on. append_query_specs() appends q's comparisons
+/// methods-major (the order of `methods`), probes-major, entries inner —
+/// Algorithm 1's loop order generalized to k probes; a pair query aligns
+/// probe 0 onto probe 1. The probe is always chain `a`, so tm_query is
+/// normalized by probe length. query_hit() maps a row of those specs back
+/// to the hit it answers.
+void append_query_specs(const Query& q, std::uint32_t probe_base,
+                        std::uint32_t database_size,
+                        std::span<const rckalign::Method> methods,
+                        std::vector<rckalign::PairSpec>& specs);
+QueryHit query_hit(const rckalign::PairsRow& row, const Query& q,
+                   std::uint32_t probe_base) noexcept;
 
 /// Validate `cfg` and the query shape (throwing ConfigError listing every
 /// issue), execute the query's comparisons over the database through

@@ -145,15 +145,6 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     }
   }
 
-  if (batch == 0) {
-    bad("batch", "must be >= 1 (1 = classic per-job dispatch)");
-  } else if (batch > 1 && (fault_tolerant || master_ft || !faults.empty())) {
-    bad("batch",
-        "batched grants require the plain farm; the fault-tolerant farms "
-        "(and any non-empty fault plan, which upgrades to them) lease and "
-        "retry individual jobs");
-  }
-
   if (!obs.trace_path.empty() && obs.trace_path == obs.metrics_path) {
     bad("obs.metrics_path",
         "trace_path and metrics_path point at the same file; the second "
@@ -204,7 +195,6 @@ rckalign::PairsOptions RunConfig::to_pairs_options() const {
   opts.runtime.obs = obs;
   opts.runtime.chk = chk;
   opts.lpt = lpt;
-  opts.batch = batch;
   opts.fault_tolerant = fault_tolerant || !runtime.faults.empty();
   opts.ft = ft;
   opts.master_ft = master_ft;

@@ -42,8 +42,6 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
   if (opts.slave_count < 1 ||
       opts.slave_count + 1 > opts.runtime.chip.core_count())
     throw AlignError("run_rckalign_blocked: slave_count out of range");
-  if (opts.batch == 0)
-    throw AlignError("run_rckalign_blocked: batch must be >= 1");
 
   const auto blocks = plan_blocks(dataset, opts.master_memory_bytes);
   std::vector<std::uint64_t> block_bytes(blocks.size(), 0);
@@ -106,13 +104,12 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
               specs.push_back(PairSpec{i, j, Method::TmAlign});
           }
           std::vector<rckskel::Job> jobs = detail::build_jobs(
-              structures, specs, /*wires=*/{}, opts.cache, model, next_job_id);
+              structures, specs, /*wires=*/{}, table, model, next_job_id);
           next_job_id += specs.size();
           if (jobs.empty()) continue;
 
           rckskel::FarmOptions fopts;
           fopts.lpt_order = opts.lpt;
-          fopts.batch = opts.batch;
           fopts.wait_ready = first_round;
           fopts.send_terminate = false;
           first_round = false;
@@ -123,7 +120,7 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
       }
       rckskel::terminate(comm, slaves);
     } else {
-      detail::serve_pairs(comm, kMaster, table, opts.batch);
+      detail::serve_pairs(comm, kMaster, table);
     }
   };
 

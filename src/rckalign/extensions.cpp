@@ -50,10 +50,10 @@ MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
 // Hierarchical masters.
 //
 // Rank layout: 0 = root master; 1..G = group masters; the remaining ranks
-// are leaf slaves, split evenly across groups. The root farms *batches*
-// (several jobs packed into one payload) to group masters; a group master
-// unpacks each batch and farms its jobs to its own slaves, returning the
-// packed results. Leaf slaves never talk to the root.
+// are leaf slaves, split evenly across groups. The root farms one *batch*
+// per group (every G-th job packed into one payload) to group masters; a
+// group master unpacks its batch and farms the jobs to its own slaves,
+// returning the packed results. Leaf slaves never talk to the root.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -151,49 +151,27 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
       comm.charge_dram_read(dataset_bytes);
 
       const std::vector<rckskel::Job> jobs =
-          detail::build_jobs(structures, specs, /*wires=*/{}, opts.cache, ctx.timing());
+          detail::build_jobs(structures, specs, /*wires=*/{}, table, ctx.timing());
 
-      // Batching strategy. A group master serves one batch at a time and
-      // returns only when the whole batch finished, so small batches create
-      // per-batch barriers that idle the group's slaves on stragglers.
-      // Default (batch_size == 0): one strided batch per group — each group
-      // gets every G-th job (a cost-mixed static partition), farms it
-      // dynamically on its own slaves, and synchronizes exactly once.
-      // batch_size > 0 selects pipelined fixed-size batches instead (useful
-      // for studying the tradeoff).
+      // One strided batch per group: each group gets every G-th job (a
+      // cost-mixed static partition), farms it dynamically on its own
+      // slaves, and synchronizes with the root exactly once. (A group master
+      // returns only when its whole batch finished, so smaller batches would
+      // add per-batch barriers that idle its slaves on stragglers.)
       std::vector<rckskel::Job> batches;
-      std::size_t next_batch_id = 0;
-      if (opts.batch_size <= 0) {
-        for (std::size_t grp = 0; grp < static_cast<std::size_t>(g); ++grp) {
-          std::vector<const rckskel::Job*> slice;
-          std::uint64_t hint = 0;
-          for (std::size_t k = grp; k < jobs.size(); k += static_cast<std::size_t>(g)) {
-            slice.push_back(&jobs[k]);
-            hint += jobs[k].cost_hint;
-          }
-          if (slice.empty()) continue;
-          rckskel::Job batch;
-          batch.id = next_batch_id++;
-          batch.payload = pack_batch(slice);
-          batch.cost_hint = hint;
-          batches.push_back(std::move(batch));
+      for (std::size_t grp = 0; grp < static_cast<std::size_t>(g); ++grp) {
+        std::vector<const rckskel::Job*> slice;
+        std::uint64_t hint = 0;
+        for (std::size_t k = grp; k < jobs.size(); k += static_cast<std::size_t>(g)) {
+          slice.push_back(&jobs[k]);
+          hint += jobs[k].cost_hint;
         }
-      } else {
-        std::size_t k = 0;
-        while (k < jobs.size()) {
-          const std::size_t bsz = static_cast<std::size_t>(opts.batch_size);
-          std::vector<const rckskel::Job*> slice;
-          std::uint64_t hint = 0;
-          for (std::size_t t = 0; t < bsz && k < jobs.size(); ++t, ++k) {
-            slice.push_back(&jobs[k]);
-            hint += jobs[k].cost_hint;
-          }
-          rckskel::Job batch;
-          batch.id = next_batch_id++;
-          batch.payload = pack_batch(slice);
-          batch.cost_hint = hint;
-          batches.push_back(std::move(batch));
-        }
+        if (slice.empty()) continue;
+        rckskel::Job batch;
+        batch.id = batches.size();
+        batch.payload = pack_batch(slice);
+        batch.cost_hint = hint;
+        batches.push_back(std::move(batch));
       }
 
       std::vector<int> masters(static_cast<std::size_t>(g));

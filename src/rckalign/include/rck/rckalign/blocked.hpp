@@ -27,9 +27,6 @@ struct BlockedOptions {
   /// that any two blocks fit. 0 means "everything fits" (degenerates to
   /// one block = the plain algorithm).
   std::uint64_t master_memory_bytes = 0;
-  /// Farm grant size (see PairsOptions::batch): K > 1 only coarsens grants.
-  /// Bit-identical per-job results/cycles; 0 is invalid.
-  std::size_t batch = 1;
 };
 
 struct BlockedRun {

@@ -2,7 +2,7 @@
 //
 // Part of the rck::Error taxonomy (DESIGN.md, "Error taxonomy"): invalid
 // run parameters (bad slave counts, empty datasets, mismatched caches)
-// across app/blocked/extensions/one_vs_all/distributed raise AlignError.
+// across app/pairs/blocked/extensions/distributed raise AlignError.
 #pragma once
 
 #include <string>

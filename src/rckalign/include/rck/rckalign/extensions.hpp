@@ -12,7 +12,8 @@
 //     hierarchy of master processes such that a master does not become a
 //     bottleneck for the slaves it controls". run_hierarchical() puts a
 //     root master over G group masters, each farming to its own slave set;
-//     the root dispatches *batches* of jobs so a whole group stays busy.
+//     the root dispatches one strided batch of jobs per group, so a whole
+//     group stays busy and synchronizes with the root once.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,6 @@ struct HierarchyOptions {
   int slave_count = 40;  ///< total leaf slaves, split evenly across groups
   /// As MultiMethodOptions::cache.
   const PairCache* cache = nullptr;
-  /// Jobs per batch shipped root -> sub-master; 0 means one batch per
-  /// group-slave count (keeps every leaf busy per round).
-  int batch_size = 0;
 };
 
 struct HierarchyRun {

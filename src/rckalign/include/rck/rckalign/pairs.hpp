@@ -3,7 +3,7 @@
 // Every rckalign driver is a list of (a, b, method) comparisons over a
 // structure table, dispatched to slaves through one FARM skeleton:
 // run_rckalign() farms the all-vs-all pair list, run_multi_method() one
-// all-vs-all per method group, run_one_vs_all() a query row, and the
+// all-vs-all per method group, rck::run_query() one query's rows, and the
 // alignment service (src/service) whatever mix of pair / one-vs-all /
 // k-vs-all queries a round coalesced. run_pairs() is that program: callers
 // describe the comparisons as PairSpec indices into a structure table and
@@ -55,13 +55,6 @@ struct PairsOptions {
   scc::RuntimeConfig runtime{};
   /// LPT (longest-first) job ordering; the paper used FIFO.
   bool lpt = false;
-  /// Farm grant size: jobs handed to a slave per master round trip. K > 1
-  /// sends BATCH frames that the slave serves job by job, so it only
-  /// coarsens the dispatch schedule (fewer round trips, a different
-  /// makespan); per-job results and cycle charges are identical to K = 1.
-  /// Requires the plain farm: incompatible with fault_tolerant / master_ft,
-  /// which lease and retry individual jobs.
-  std::size_t batch = 1;
   /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
   /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
   /// harmless without faults (simulated makespan is within lease-bookkeeping
@@ -129,7 +122,7 @@ struct PairsRun {
 /// bio::serialize() bytes of *structures[k] and is used verbatim when
 /// encoding job payloads (null entries fall back to serializing on the
 /// spot). Throws AlignError on out-of-range spec indices, a null structure
-/// referenced by a spec, bad slave/batch counts, or a mismatched wires
+/// referenced by a spec, a bad slave count, or a mismatched wires
 /// table.
 PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const PairSpec> specs, const PairsOptions& opts,

@@ -5,7 +5,7 @@
 // rck::run, rck::run_query and the service) are spec builders over it: they
 // describe their comparisons as PairSpecs over a structure table plus a
 // slave-group layout. The blocked and hierarchical drivers keep their own
-// master loops (block wavefront; two-level batches) but share its job
+// master loops (block wavefront; two-level farm) but share its job
 // builder, slave role and replay table, so every TM-align job any driver
 // farms is replayed from a PairCache. Not part of the public API (lives next
 // to the sources, not under include/).
@@ -41,12 +41,13 @@ const PairCache& replay_table(std::span<const bio::Protein* const> structures,
                               PairCache& ahead);
 
 /// One farm job per spec, with ids id_base + k. Payloads use `wires` where
-/// it has both structures' bytes. The LPT/lease cost hint is exact from
-/// `cache` for TM-align specs and the L1 * L2 size proxy otherwise.
+/// it has both structures' bytes. The LPT/lease cost hint is exact from the
+/// replay `table` for TM-align specs and the L1 * L2 size proxy for the
+/// methods it does not hold.
 std::vector<rckskel::Job> build_jobs(std::span<const bio::Protein* const> structures,
                                      std::span<const PairSpec> specs,
                                      std::span<const bio::Bytes* const> wires,
-                                     const PairCache* cache,
+                                     const PairCache& table,
                                      const scc::CoreTimingModel& model,
                                      std::uint64_t id_base = 0);
 
@@ -58,10 +59,8 @@ PairRow to_row(const PairsRow& r);
 
 /// Slave role: serve pair jobs from `master` until TERMINATE, replaying
 /// TM-align outcomes from `table` and charging their exact cycles. With
-/// `ft` the slave runs the fault-tolerant protocol; otherwise the plain
-/// one, pulling BATCH grants when `batch` > 1.
+/// `ft` the slave runs the fault-tolerant protocol; otherwise the plain one.
 void serve_pairs(rcce::Comm& comm, int master, const PairCache& table,
-                 std::size_t batch = 1,
                  const rckskel::FaultTolerantFarmOptions* ft = nullptr);
 
 /// Slave-group layout entry: the next `slaves` ranks serve the next `specs`

@@ -107,11 +107,6 @@ void validate(std::span<const bio::Protein* const> structures,
   const int core_count = opts.slave_count + (opts.master_ft ? 2 : 1);
   if (opts.slave_count < 1 || core_count > opts.runtime.chip.core_count())
     throw AlignError(who + ": slave_count out of range for chip");
-  if (opts.batch == 0) throw AlignError(who + ": batch must be >= 1");
-  if (opts.batch > 1 && (opts.fault_tolerant || opts.master_ft))
-    throw AlignError(who +
-                     ": batched grants require the plain farm (the "
-                     "fault-tolerant farms lease and retry individual jobs)");
   if (groups.empty()) return;
   int slaves = 0;
   std::size_t covered = 0;
@@ -161,7 +156,7 @@ const PairCache& replay_table(std::span<const bio::Protein* const> structures,
 std::vector<rckskel::Job> build_jobs(std::span<const bio::Protein* const> structures,
                                      std::span<const PairSpec> specs,
                                      std::span<const bio::Bytes* const> wires,
-                                     const PairCache* cache,
+                                     const PairCache& table,
                                      const scc::CoreTimingModel& model,
                                      std::uint64_t id_base) {
   std::vector<rckskel::Job> jobs;
@@ -179,8 +174,8 @@ std::vector<rckskel::Job> build_jobs(std::span<const bio::Protein* const> struct
     job.payload = aw != nullptr && bw != nullptr
                       ? encode_pair_job(s.a, s.b, s.method, *aw, *bw)
                       : encode_pair_job(s.a, s.b, s.method, a, b);
-    job.cost_hint = cache != nullptr && s.method == Method::TmAlign
-                        ? cache->pair_cycles(s.a, s.b, model)
+    job.cost_hint = s.method == Method::TmAlign
+                        ? table.pair_cycles(s.a, s.b, model)
                         : static_cast<std::uint64_t>(a.size()) * b.size();
     jobs.push_back(std::move(job));
   }
@@ -201,18 +196,7 @@ PairRow to_row(const PairsRow& r) {
 }
 
 void serve_pairs(rcce::Comm& comm, int master, const PairCache& table,
-                 std::size_t batch, const rckskel::FaultTolerantFarmOptions* ft) {
-  if (batch > 1) {
-    // A grant is served job by job: the coarser grant only saves round trips.
-    rckskel::farm_slave_batch(
-        comm, master,
-        [&table](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                 std::vector<bio::Bytes>& out) {
-          for (const rckskel::Job& job : jobs)
-            out.push_back(execute_pair_job(c, job.payload, table));
-        });
-    return;
-  }
+                 const rckskel::FaultTolerantFarmOptions* ft) {
   const rckskel::Worker worker = [&table](rcce::Comm& c, const bio::Bytes& payload) {
     return execute_pair_job(c, payload, table);
   };
@@ -232,8 +216,9 @@ PairsRun run_farm(std::span<const bio::Protein* const> structures,
   // Compute-ahead: without a caller table, fill every TM-align spec's
   // outcome, keyed by its exact ordered (a, b), on the configured host
   // threads; the slaves then replay it, charging exactly the cycles an
-  // inline alignment would. Cost hints follow the caller's table only, so
-  // the pre-pass changes no job order.
+  // inline alignment would. TM-align cost hints come from the same table,
+  // so LPT order and fault-tolerant leases do not depend on whether the
+  // caller supplied it.
   PairCache ahead;
   const PairCache& table =
       replay_table(structures, specs, cache, opts.runtime.host.threads, ahead);
@@ -274,7 +259,7 @@ PairsRun run_farm(std::span<const bio::Protein* const> structures,
 
       const noc::SimTime t_build0 = ctx.now();
       std::vector<rckskel::Job> jobs =
-          build_jobs(structures, specs, wires, cache, ctx.timing());
+          build_jobs(structures, specs, wires, table, ctx.timing());
       rckskel::Task task;
       if (groups.empty()) {
         std::vector<int> slaves(static_cast<std::size_t>(opts.slave_count));
@@ -339,7 +324,6 @@ PairsRun run_farm(std::span<const bio::Protein* const> structures,
       } else {
         rckskel::FarmOptions fopts;
         fopts.lpt_order = opts.lpt;
-        fopts.batch = opts.batch;
         collected = rckskel::farm(comm, task, fopts);
       }
       decode_collected(collected, master_rows);
@@ -352,7 +336,7 @@ PairsRun run_farm(std::span<const bio::Protein* const> structures,
         decode_collected(*collected, *standby_rows);
       }
     } else {
-      serve_pairs(comm, kMaster, table, opts.batch,
+      serve_pairs(comm, kMaster, table,
                   opts.master_ft        ? &mft.ft
                   : opts.fault_tolerant ? &ftopts
                                         : nullptr);

@@ -46,13 +46,6 @@ enum class MsgType : std::uint8_t {
   /// liveness between checkpoints. Both ride the same sealed-frame format.
   Checkpoint = 5,
   Heartbeat = 6,
-  /// Batched-farm extension: a BATCH frame grants a slave several jobs in
-  /// one round trip; BATCHRESULT returns all their results in one frame.
-  /// Both carry [u32 count] then per job [u64 id][u32 len][payload bytes].
-  /// Grant size is a scheduling knob only — per-job payloads and results
-  /// are byte-identical to the equivalent JOB/RESULT exchanges.
-  Batch = 7,
-  BatchResult = 8,
 };
 
 /// 32-bit FNV-style checksum over `data` (word-at-a-time, eight lanes,
@@ -72,31 +65,11 @@ bio::Bytes encode_terminate();
 bio::Bytes encode_checkpoint(const bio::Bytes& snapshot);
 bio::Bytes encode_heartbeat(std::uint64_t seq);
 
-/// Encode a multi-job grant (MsgType::Batch). `jobs` must be non-empty;
-/// cost_hint is master-side scheduling state and does not travel.
-bio::Bytes encode_batch(std::span<const Job* const> jobs);
-/// Encode the slave's reply to a grant (MsgType::BatchResult): one payload
-/// per granted job, in grant order. `jobs` and `payloads` must be the same
-/// length and non-empty.
-bio::Bytes encode_batch_result(std::span<const Job> jobs,
-                               std::span<const bio::Bytes> payloads);
-
-/// Decode the body of a Batch frame (Message::payload) into `out`
-/// (cleared first; capacity reuse makes steady-state grants allocation-free
-/// once a slave has seen its largest grant). Throws bio::WireError on
-/// truncation, a zero count, or trailing bytes.
-void decode_batch_jobs(const bio::Bytes& payload, std::vector<Job>& out);
-/// Decode the body of a BatchResult frame into `out` (cleared first),
-/// attributing every result to `worker`. Same error behaviour.
-void decode_batch_results(const bio::Bytes& payload, int worker,
-                          std::vector<JobResult>& out);
-
 /// A decoded protocol message.
 struct Message {
   MsgType type = MsgType::Terminate;
   std::uint64_t job_id = 0;  ///< valid for Job / Result / Heartbeat (seq)
-  bio::Bytes payload;        ///< valid for Job / Result / Checkpoint /
-                             ///< Batch / BatchResult (the batch body)
+  bio::Bytes payload;        ///< valid for Job / Result / Checkpoint
 };
 
 /// Decode a protocol message; throws bio::WireError on malformed input.

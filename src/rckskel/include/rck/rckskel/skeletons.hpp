@@ -50,16 +50,6 @@ class SkelProtocolError : public rck::Error {
       : Error("rck.skel.protocol", message) {}
 };
 
-/// Misuse of the batched-grant extension: a batch size of 0, a batch worker
-/// returning the wrong number of results, or batch > 1 requested on a farm
-/// flavour that does not support batched grants (the fault-tolerant farms
-/// lease and retry individual jobs). Code "rck.skel.batch".
-class SkelBatchError : public rck::Error {
- public:
-  explicit SkelBatchError(const std::string& message)
-      : Error("rck.skel.batch", message) {}
-};
-
 /// The fault-tolerant farm could not complete the job set within its fault
 /// budget (no live slaves remain, a job exceeded max_attempts, nobody
 /// answered READY). Code "rck.skel.farm_failed".
@@ -131,16 +121,6 @@ struct FarmOptions {
   /// to hundreds of simulated seconds. Tighten it for workloads with a
   /// known makespan bound.
   noc::SimTime slave_idle_timeout = 3600 * noc::kPsPerSec;
-  /// Grant size: how many jobs the master packs into one BATCH frame per
-  /// free slave (1 = classic per-job dispatch, the default). Batching
-  /// amortises the master round trip; a batch-aware slave
-  /// (farm_slave_batch) receives the whole grant at once. Purely a
-  /// scheduling knob: per-job payloads, results and cycle
-  /// charges are identical to unbatched dispatch. Seq groups always release
-  /// one job at a time regardless of this setting. Slaves of a farm run
-  /// with batch > 1 must use farm_slave_batch (a plain farm_slave fails
-  /// loudly on the first BATCH frame). 0 is invalid.
-  std::size_t batch = 1;
 };
 
 /// Send TERMINATE to the given UEs (for callers using send_terminate=false).
@@ -173,18 +153,6 @@ using Worker = std::function<bio::Bytes(rcce::Comm&, const bio::Bytes&)>;
 /// FARM (slave side): READY handshake, then serve jobs until TERMINATE.
 void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
                 const FarmOptions& opts = {});
-
-/// Batch-aware worker callback: all granted jobs in, one result payload per
-/// job out (same order). `out` arrives cleared; the worker fills it (the
-/// alignment farm's slaves serve the grant job by job).
-using BatchWorker = std::function<void(
-    rcce::Comm&, std::span<const Job>, std::vector<bio::Bytes>&)>;
-
-/// FARM (slave side), batch-aware: READY handshake, then serve BATCH grants
-/// (and single JOB frames, served as one-job grants) until TERMINATE.
-/// Throws SkelBatchError if the worker returns the wrong number of results.
-void farm_slave_batch(rcce::Comm& comm, int master_ue,
-                      const BatchWorker& worker, const FarmOptions& opts = {});
 
 // ---- Fault-tolerant FARM ---------------------------------------------------
 // farm() above assumes perfectly reliable slaves and mesh, like the paper's

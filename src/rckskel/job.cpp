@@ -101,66 +101,6 @@ bio::Bytes encode_heartbeat(std::uint64_t seq) {
   return seal(w);
 }
 
-bio::Bytes encode_batch(std::span<const Job* const> jobs) {
-  if (jobs.empty())
-    throw bio::WireError("encode_batch: empty grant");
-  bio::WireWriter w = frame(MsgType::Batch);
-  w.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const Job* job : jobs) {
-    w.u64(job->id);
-    w.u32(static_cast<std::uint32_t>(job->payload.size()));
-    w.raw(job->payload);
-  }
-  return seal(w);
-}
-
-bio::Bytes encode_batch_result(std::span<const Job> jobs,
-                               std::span<const bio::Bytes> payloads) {
-  if (jobs.empty() || jobs.size() != payloads.size())
-    throw bio::WireError("encode_batch_result: grant/result size mismatch");
-  bio::WireWriter w = frame(MsgType::BatchResult);
-  w.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (std::size_t k = 0; k < jobs.size(); ++k) {
-    w.u64(jobs[k].id);
-    w.u32(static_cast<std::uint32_t>(payloads[k].size()));
-    w.raw(payloads[k]);
-  }
-  return seal(w);
-}
-
-void decode_batch_jobs(const bio::Bytes& payload, std::vector<Job>& out) {
-  out.clear();
-  bio::WireReader r(std::span<const std::byte>(payload.data(), payload.size()));
-  const std::uint32_t count = r.u32();
-  if (count == 0) throw bio::WireError("decode_batch_jobs: empty grant");
-  out.resize(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    out[k].id = r.u64();
-    const std::uint32_t len = r.u32();
-    out[k].payload = r.raw(len);
-    out[k].cost_hint = 0;
-  }
-  if (!r.done())
-    throw bio::WireError("decode_batch_jobs: trailing bytes");
-}
-
-void decode_batch_results(const bio::Bytes& payload, int worker,
-                          std::vector<JobResult>& out) {
-  out.clear();
-  bio::WireReader r(std::span<const std::byte>(payload.data(), payload.size()));
-  const std::uint32_t count = r.u32();
-  if (count == 0) throw bio::WireError("decode_batch_results: empty reply");
-  out.resize(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    out[k].id = r.u64();
-    out[k].worker = worker;
-    const std::uint32_t len = r.u32();
-    out[k].payload = r.raw(len);
-  }
-  if (!r.done())
-    throw bio::WireError("decode_batch_results: trailing bytes");
-}
-
 Message decode_message(bio::Bytes raw) {
   if (raw.size() < 5)
     throw bio::WireError("decode_message: truncated frame");
@@ -171,13 +111,12 @@ Message decode_message(bio::Bytes raw) {
   bio::WireReader r(body);  // view into `raw`, which outlives the reads
   Message m;
   const std::uint8_t t = r.u8();
-  if (t < 1 || t > 8) throw bio::WireError("decode_message: unknown type");
+  if (t < 1 || t > 6) throw bio::WireError("decode_message: unknown type");
   m.type = static_cast<MsgType>(t);
   if (m.type == MsgType::Job || m.type == MsgType::Result) {
     m.job_id = r.u64();
     m.payload = r.rest();
-  } else if (m.type == MsgType::Checkpoint || m.type == MsgType::Batch ||
-             m.type == MsgType::BatchResult) {
+  } else if (m.type == MsgType::Checkpoint) {
     m.payload = r.rest();
   } else if (m.type == MsgType::Heartbeat) {
     m.job_id = r.u64();

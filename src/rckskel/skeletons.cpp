@@ -140,7 +140,6 @@ std::vector<JobResult> collect(rcce::Comm& comm, std::span<const int> ues,
 std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOptions& opts) {
   const obs::Handle h = comm.obs();
   const noc::SimTime farm_start = comm.ctx().now();
-  if (opts.batch == 0) throw SkelBatchError("farm: batch must be >= 1");
   std::vector<FlatGroup> groups;
   flatten(task, {}, groups, -1);
 
@@ -186,11 +185,8 @@ std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOption
   results.reserve(total);
   // inflight[i]: group index the i-th slave is working for, or -1 when free.
   std::vector<int> inflight(slaves.size(), -1);
-  // grant[i]: number of jobs in that slave's current grant (0 when free).
-  std::vector<std::size_t> grant(slaves.size(), 0);
-  // dispatch_at[i]: dispatch time of that grant (job-latency accounting).
+  // dispatch_at[i]: dispatch time of that slave's job (latency accounting).
   std::vector<noc::SimTime> dispatch_at(slaves.size(), 0);
-  std::vector<const Job*> pack;  // scratch for multi-job grants
 
   auto try_dispatch = [&]() {
     bool progress = true;
@@ -204,36 +200,19 @@ std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOption
           if (g.seq && g.inflight) continue;
           if (!group_complete(groups, g.after)) continue;
           if (std::find(g.ues.begin(), g.ues.end(), slaves[si]) == g.ues.end()) continue;
-          // Grant size: Seq groups release one job at a time (ordering);
-          // Par groups take up to opts.batch of the group's remaining jobs.
-          // A single-job grant always travels as a plain JOB frame, so
-          // batch == 1 is byte-identical to the classic farm.
-          const std::size_t avail = g.jobs.size() - g.next;
-          const std::size_t n =
-              (g.seq || opts.batch == 1) ? 1 : std::min(opts.batch, avail);
+          const Job& job = *g.jobs[g.next];
           const noc::SimTime now = comm.ctx().now();
-          if (n == 1) {
-            comm.send(slaves[si], encode_job(*g.jobs[g.next]));
-          } else {
-            pack.assign(g.jobs.begin() + static_cast<std::ptrdiff_t>(g.next),
-                        g.jobs.begin() + static_cast<std::ptrdiff_t>(g.next + n));
-            comm.send(slaves[si], encode_batch(pack));
-          }
-          for (std::size_t k = 0; k < n; ++k)
-            comm.mc_proto(mc::ProtoKind::Grant, g.jobs[g.next + k]->id,
-                          static_cast<std::uint64_t>(slaves[si]));
+          comm.send(slaves[si], encode_job(job));
+          comm.mc_proto(mc::ProtoKind::Grant, job.id,
+                        static_cast<std::uint64_t>(slaves[si]));
           if (h) {
-            for (std::size_t k = 0; k < n; ++k) {
-              const Job& job = *g.jobs[g.next + k];
-              h.add(h.ids().farm_jobs);
-              h.async_begin(obs::Lane::Farm, h.ids().n_job, now, job.id);
-              h.instant(obs::Lane::Farm, h.ids().n_dispatch, now, job.id);
-            }
+            h.add(h.ids().farm_jobs);
+            h.async_begin(obs::Lane::Farm, h.ids().n_job, now, job.id);
+            h.instant(obs::Lane::Farm, h.ids().n_dispatch, now, job.id);
           }
-          g.next += n;
+          ++g.next;
           g.inflight = g.seq ? true : g.inflight;
           inflight[si] = static_cast<int>(gi);
-          grant[si] = n;
           dispatch_at[si] = now;
           progress = true;
           break;
@@ -243,7 +222,6 @@ std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOption
   };
 
   std::vector<int> busy;
-  std::vector<JobResult> batch_res;  // scratch for BatchResult decoding
   std::size_t completed = 0;
   while (completed < total) {
     try_dispatch();
@@ -254,50 +232,24 @@ std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOption
       throw SkelError("farm: jobs remain but nothing dispatchable");
     const int ue = comm.wait_any(busy);
     Message msg = decode_message(comm.recv(ue));
+    if (msg.type != MsgType::Result)
+      throw SkelProtocolError("farm: expected RESULT from UE " + std::to_string(ue));
     const auto it = std::lower_bound(slaves.begin(), slaves.end(), ue);
     const std::size_t si = static_cast<std::size_t>(it - slaves.begin());
     FlatGroup& g = groups[static_cast<std::size_t>(inflight[si])];
-    const noc::SimTime now = comm.ctx().now();
-    if (grant[si] == 1) {
-      if (msg.type != MsgType::Result)
-        throw SkelProtocolError("farm: expected RESULT from UE " +
-                                std::to_string(ue));
-      if (h) {
-        h.add(h.ids().farm_results);
-        h.async_end(obs::Lane::Farm, h.ids().n_job, now, msg.job_id);
-        h.observe(h.ids().farm_job_latency_ps, now - dispatch_at[si]);
-      }
-      comm.mc_proto(mc::ProtoKind::ResultAccept, msg.job_id,
-                    static_cast<std::uint64_t>(ue));
-      results.push_back(JobResult{msg.job_id, ue, std::move(msg.payload)});
-      ++g.completed;
-      ++completed;
-    } else {
-      if (msg.type != MsgType::BatchResult)
-        throw SkelProtocolError("farm: expected BATCHRESULT from UE " +
-                                std::to_string(ue));
-      decode_batch_results(msg.payload, ue, batch_res);
-      if (batch_res.size() != grant[si])
-        throw SkelBatchError("farm: UE " + std::to_string(ue) + " returned " +
-                             std::to_string(batch_res.size()) +
-                             " results for a grant of " +
-                             std::to_string(grant[si]));
-      for (JobResult& res : batch_res) {
-        if (h) {
-          h.add(h.ids().farm_results);
-          h.async_end(obs::Lane::Farm, h.ids().n_job, now, res.id);
-          h.observe(h.ids().farm_job_latency_ps, now - dispatch_at[si]);
-        }
-        comm.mc_proto(mc::ProtoKind::ResultAccept, res.id,
-                      static_cast<std::uint64_t>(ue));
-        results.push_back(std::move(res));
-      }
-      g.completed += batch_res.size();
-      completed += batch_res.size();
+    if (h) {
+      const noc::SimTime now = comm.ctx().now();
+      h.add(h.ids().farm_results);
+      h.async_end(obs::Lane::Farm, h.ids().n_job, now, msg.job_id);
+      h.observe(h.ids().farm_job_latency_ps, now - dispatch_at[si]);
     }
+    comm.mc_proto(mc::ProtoKind::ResultAccept, msg.job_id,
+                  static_cast<std::uint64_t>(ue));
+    results.push_back(JobResult{msg.job_id, ue, std::move(msg.payload)});
+    ++g.completed;
+    ++completed;
     g.inflight = false;
     inflight[si] = -1;
-    grant[si] = 0;
   }
 
   if (opts.send_terminate) send_terminate(comm, slaves);
@@ -426,10 +378,6 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
                                      FarmReport* report, MasterCtx* mctx) {
   const obs::Handle h = comm.obs();
   const noc::SimTime farm_start = comm.ctx().now();
-  if (opts.base.batch != 1)
-    throw SkelBatchError(
-        "farm_ft: batched grants are not supported — the fault-tolerant "
-        "farms lease, retry and deduplicate individual jobs");
   const bool promoted = mctx != nullptr && mctx->failover_detected != 0;
   const bool replicate = mctx != nullptr && !promoted;
   const int standby = replicate ? opts.standby_ue : -1;

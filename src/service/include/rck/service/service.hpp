@@ -5,21 +5,20 @@
 // answers one standalone query, the Service owns state that outlives any
 // single request:
 //
-//   * a database of Entry records, each preprocessed once at load time
-//     (wire bytes for zero-copy job payloads, SoA coordinates and secondary
-//     structure for host-side inspection and future seeding work);
+//   * a database of Entry records, each serialized once at load time (wire
+//     bytes for zero-copy job payloads);
 //   * the lower-triangular all-vs-all similarity matrix over that database,
 //     kept incrementally: adding one structure to an N-entry database costs
 //     exactly N comparisons (one new matrix column), never a rebuild;
 //   * an admission-controlled query queue with a simulated clock — queries
 //     arrive at trace timestamps, wait in a bounded queue, and are coalesced
 //     into farm rounds of at most max_queries_per_round each, so unrelated
-//     queries share one master/slave round trip and one K-lane batch pool.
+//     queries share one master/slave farm run.
 //
 // Every comparison — matrix build, matrix extension, query serving — runs
 // through rckalign::run_pairs(), i.e. the same simulated-SCC farm as the
-// offline paths, with the full RunConfig option surface (LPT, batching,
-// fault tolerance, master failover). Configuration arrives exclusively as a
+// offline paths, with the full RunConfig option surface (LPT, fault
+// tolerance, master failover). Configuration arrives exclusively as a
 // validated rck::RunConfig; admission limits live in RunConfig::service.
 //
 // Observability: the Service owns one obs::Recorder for its whole lifetime
@@ -39,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "rck/bio/coords_soa.hpp"
 #include "rck/rck.hpp"
 
 namespace rck::service {
@@ -60,16 +58,12 @@ class OverloadError : public Error {
       : Error("rck.service.overload", message) {}
 };
 
-/// One database structure, preprocessed once when it enters the service.
+/// One database structure, serialized once when it enters the service.
 struct Entry {
   bio::Protein protein;
   /// bio::serialize(protein), reused verbatim for every farm job payload
   /// this entry participates in (run_pairs' wires table).
   bio::Bytes wire;
-  /// CA coordinates in SoA layout, ready for kernel consumption.
-  bio::CoordsSoA coords;
-  /// Secondary-structure assignment (helix/strand/turn/coil per residue).
-  std::vector<bio::SsType> ss;
 };
 
 /// One cell of the resident all-vs-all matrix: the comparison of entry i
@@ -101,7 +95,7 @@ struct Stats {
 
 class Service {
  public:
-  /// Take ownership of `database`, preprocess every entry, and build the
+  /// Take ownership of `database`, serialize every entry, and build the
   /// all-vs-all matrix eagerly in one farm run (C(N,2) comparisons).
   /// Throws ConfigError on an invalid `cfg`, ServiceError on an empty
   /// database entry. Matrix and query work both honor cfg's farm knobs;
@@ -121,7 +115,7 @@ class Service {
 
   /// Add one structure to the resident database. Issues exactly size()
   /// comparisons (the new matrix column) in one farm run — never a
-  /// rebuild — and preprocesses the entry like the constructor did.
+  /// rebuild — and serializes the entry like the constructor did.
   /// Returns the new entry's index. Offline matrix work does not advance
   /// the query clock.
   std::size_t add_structure(bio::Protein p);

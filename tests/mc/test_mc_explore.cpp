@@ -48,21 +48,6 @@ TEST(McExplore, CleanFarmExploresBitIdentical) {
   EXPECT_EQ(again.schedules, out.schedules);
 }
 
-TEST(McExplore, BatchConfigMatchesPlainDigest) {
-  // Batched grants change the message pattern but not the scored matrix:
-  // the canonical digests of the two configs must agree (the same rows are
-  // hashed, worker assignment excluded).
-  const auto ds = tiny_dataset();
-  const rckalign::PairCache cache = rckalign::PairCache::build(ds);
-  RunConfig plain;
-  plain.with_slaves(3).with_cache(&cache).with_mc().with_mc_bound(8);
-  RunConfig batch;
-  batch.with_slaves(3).with_cache(&cache).with_batch(3).with_mc().with_mc_bound(
-      8);
-  EXPECT_EQ(mc_explore(ds, plain).canonical_digest,
-            mc_explore(ds, batch).canonical_digest);
-}
-
 TEST(McExplore, MutantCaughtAndWitnessReplaysIdentically) {
   const auto ds = tiny_dataset();
   const rckalign::PairCache cache = rckalign::PairCache::build(ds);

@@ -1,6 +1,6 @@
 // rck::Query / run_query — the consolidated query surface: shape
-// validation, agreement with the legacy one-vs-all shim and the direct
-// kernel, ranking/top-k semantics, stable JSON.
+// validation, agreement with the direct kernel, ranking/top-k semantics,
+// stable JSON.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "rck/bio/synthetic.hpp"
 #include "rck/core/tmalign.hpp"
 #include "rck/rck.hpp"
-#include "rck/rckalign/one_vs_all.hpp"
 
 namespace {
 
@@ -70,23 +69,6 @@ TEST_F(QueryTest, RunQueryRejectsBadShapesWithConfigError) {
   EXPECT_THROW(run_query(*database_, q, config(3)), ConfigError);
   EXPECT_THROW(run_query(*database_, Query::one_vs_all(*probe_), config(0)),
                ConfigError);
-}
-
-TEST_F(QueryTest, OneVsAllMatchesLegacyShim) {
-  const QueryResult res =
-      run_query(*database_, Query::one_vs_all(*probe_), config(3));
-  rckalign::OneVsAllOptions legacy;
-  legacy.slave_count = 3;
-  const rckalign::OneVsAllRun shim =
-      rckalign::run_one_vs_all(*probe_, *database_, legacy);
-
-  EXPECT_EQ(res.makespan, shim.makespan);
-  ASSERT_EQ(res.hits.size(), shim.ranked[0].size());
-  for (std::size_t k = 0; k < res.hits.size(); ++k) {
-    EXPECT_EQ(res.hits[k].entry, shim.ranked[0][k].entry);
-    EXPECT_DOUBLE_EQ(res.hits[k].tm_query, shim.ranked[0][k].tm_query);
-    EXPECT_DOUBLE_EQ(res.hits[k].rmsd, shim.ranked[0][k].rmsd);
-  }
 }
 
 TEST_F(QueryTest, PairQueryMatchesDirectKernel) {

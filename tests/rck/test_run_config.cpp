@@ -78,32 +78,6 @@ TEST(RunConfig, FaultPlanValidatesFtKnobsEvenWithoutExplicitFt) {
   EXPECT_TRUE(has_issue(cfg.validate(), "ft.max_attempts"));
 }
 
-TEST(RunConfig, RejectsBadBatch) {
-  RunConfig cfg;
-  cfg.with_batch(0);
-  EXPECT_TRUE(has_issue(cfg.validate(), "batch"));
-
-  // Batched grants need the plain farm: the FT farms (and any fault plan,
-  // which upgrades to them) lease and retry individual jobs.
-  cfg.with_batch(4);
-  EXPECT_TRUE(cfg.validate().empty());
-  cfg.with_fault_tolerance();
-  EXPECT_TRUE(has_issue(cfg.validate(), "batch"));
-
-  RunConfig faulty;
-  faulty.with_batch(4);
-  scc::FaultPlan plan;
-  plan.crashes.push_back({3, 1'000'000});
-  faulty.with_faults(plan);
-  EXPECT_TRUE(has_issue(faulty.validate(), "batch"));
-}
-
-TEST(RunConfig, ToOptionsCarriesBatch) {
-  RunConfig cfg;
-  cfg.with_batch(8);
-  EXPECT_EQ(cfg.to_options().batch, 8u);
-}
-
 TEST(RunConfig, RejectsEmptyMethodList) {
   RunConfig cfg;
   cfg.methods.clear();
@@ -141,11 +115,10 @@ TEST(RunConfig, RejectsBadServiceLimits) {
 
 TEST(RunConfig, ToPairsOptionsCarriesTheKnobs) {
   RunConfig cfg;
-  cfg.with_slaves(5).with_lpt().with_batch(4).with_host_threads(3);
+  cfg.with_slaves(5).with_lpt().with_host_threads(3);
   const rckalign::PairsOptions opts = cfg.to_pairs_options();
   EXPECT_EQ(opts.slave_count, 5);
   EXPECT_TRUE(opts.lpt);
-  EXPECT_EQ(opts.batch, 4u);
   EXPECT_EQ(opts.runtime.host.threads, 3);
 }
 

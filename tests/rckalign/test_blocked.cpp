@@ -125,23 +125,19 @@ TEST_F(BlockedTest, BlockingCostsTimeNotCorrectness) {
 }
 
 TEST_F(BlockedTest, UncachedMatchesCached) {
-  // At batch 1 and 4, a run without a caller cache must give the same rows,
-  // makespan, block traffic and per-core reports as one replaying
-  // PairCache::build.
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-    BlockedOptions cached = options(3, dataset_bytes() / 2);
-    cached.batch = batch;
-    BlockedOptions uncached = cached;
-    uncached.cache = nullptr;
-    const BlockedRun a = run_rckalign_blocked(*dataset_, cached);
-    const BlockedRun b = run_rckalign_blocked(*dataset_, uncached);
-    ASSERT_GE(a.blocks, 2);
-    EXPECT_EQ(a.makespan, b.makespan) << "batch " << batch;
-    EXPECT_EQ(a.results, b.results) << "batch " << batch;
-    EXPECT_EQ(a.core_reports, b.core_reports) << "batch " << batch;
-    EXPECT_EQ(a.block_loads, b.block_loads) << "batch " << batch;
-    EXPECT_EQ(a.bytes_loaded, b.bytes_loaded) << "batch " << batch;
-  }
+  // A run without a caller cache must give the same rows, makespan, block
+  // traffic and per-core reports as one replaying PairCache::build.
+  const BlockedOptions cached = options(3, dataset_bytes() / 2);
+  BlockedOptions uncached = cached;
+  uncached.cache = nullptr;
+  const BlockedRun a = run_rckalign_blocked(*dataset_, cached);
+  const BlockedRun b = run_rckalign_blocked(*dataset_, uncached);
+  ASSERT_GE(a.blocks, 2);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.core_reports, b.core_reports);
+  EXPECT_EQ(a.block_loads, b.block_loads);
+  EXPECT_EQ(a.bytes_loaded, b.bytes_loaded);
 }
 
 TEST_F(BlockedTest, Deterministic) {

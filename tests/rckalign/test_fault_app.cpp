@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "rck/bio/dataset.hpp"
+#include "rck/rck.hpp"
 
 namespace rck::rckalign {
 namespace {
@@ -96,6 +97,31 @@ TEST_F(FaultAppTest, DeterministicReplayWithFaults) {
     EXPECT_EQ(a.results[k].i, b.results[k].i);
     EXPECT_EQ(a.results[k].j, b.results[k].j);
     EXPECT_EQ(a.results[k].worker, b.results[k].worker);
+  }
+}
+
+TEST_F(FaultAppTest, UncachedCk34RunMatchesCached) {
+  // FT leases and LPT order both follow the TM-align cost hints. Those come
+  // from the replay table, so a run without a caller cache (which computes
+  // the same table ahead) must schedule exactly like the cached run: same
+  // makespan, rows and recovery report, with no lease expiring early.
+  const std::vector<bio::Protein> ck34 = bio::build_dataset(bio::ck34_spec());
+  const PairCache cache = PairCache::build(ck34);
+  const struct {
+    bool ft;
+    bool lpt;
+  } cases[] = {{true, false}, {true, true}, {false, true}};
+  for (const auto& c : cases) {
+    RunConfig cfg;
+    cfg.with_slaves(12).with_fault_tolerance(c.ft).with_lpt(c.lpt);
+    RunConfig cached = cfg;
+    cached.with_cache(&cache);
+    const RunResult a = rck::run(ck34, cached);
+    const RunResult b = rck::run(ck34, cfg);
+    EXPECT_EQ(a.makespan, b.makespan) << "ft " << c.ft << " lpt " << c.lpt;
+    EXPECT_EQ(a.results, b.results) << "ft " << c.ft << " lpt " << c.lpt;
+    EXPECT_TRUE(a.farm_report == b.farm_report) << "ft " << c.ft << " lpt " << c.lpt;
+    EXPECT_EQ(b.farm_report.retries, 0u) << "ft " << c.ft << " lpt " << c.lpt;
   }
 }
 

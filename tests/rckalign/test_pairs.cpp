@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "rck/bio/serialize.hpp"
@@ -113,15 +112,6 @@ TEST_F(PairsTest, ValidatesInputsWithAlignError) {
   const std::vector<PairSpec> ok{{0, 1, Method::TmAlign}};
   const std::vector<const bio::Bytes*> short_wires(2, nullptr);
   EXPECT_THROW(run_pairs(t, ok, opts, short_wires), AlignError);
-
-  PairsOptions bad_batch = opts;
-  bad_batch.batch = 0;
-  EXPECT_THROW(run_pairs(t, ok, bad_batch), AlignError);
-
-  PairsOptions batched_ft = opts;
-  batched_ft.batch = 2;
-  batched_ft.fault_tolerant = true;
-  EXPECT_THROW(run_pairs(t, ok, batched_ft), AlignError);
 }
 
 TEST_F(PairsTest, RunsAreDeterministic) {
@@ -133,28 +123,6 @@ TEST_F(PairsTest, RunsAreDeterministic) {
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.rows, b.rows);
   EXPECT_EQ(a.core_reports, b.core_reports);
-}
-
-TEST_F(PairsTest, BatchedGrantsAreBitIdenticalToSolo) {
-  std::vector<PairSpec> specs;
-  for (std::uint32_t i = 0; i < 4; ++i)
-    for (std::uint32_t j = 0; j < 4; ++j)
-      if (i != j) specs.push_back({i, j, Method::TmAlign});
-  const auto t = table();
-  const PairsRun solo = run_pairs(t, specs, options(3));
-  PairsOptions batched = options(3);
-  batched.batch = 4;
-  const PairsRun packed = run_pairs(t, specs, batched);
-  ASSERT_EQ(solo.rows.size(), packed.rows.size());
-  // Collection order differs under batching; compare by spec index.
-  auto by_spec = [](const PairsRun& r) {
-    std::vector<PairsRow> rows = r.rows;
-    std::sort(rows.begin(), rows.end(),
-              [](const PairsRow& x, const PairsRow& y) { return x.spec < y.spec; });
-    for (PairsRow& row : rows) row.worker = -1;  // scheduling may differ
-    return rows;
-  };
-  EXPECT_EQ(by_spec(solo), by_spec(packed));
 }
 
 }  // namespace

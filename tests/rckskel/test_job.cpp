@@ -59,9 +59,13 @@ bio::Bytes sealed(const bio::Bytes& body) {
 }
 
 TEST(JobCodec, UnknownTypeThrows) {
-  bio::WireWriter w;
-  w.u8(9);
-  EXPECT_THROW(decode_message(sealed(w.take())), bio::WireError);
+  // 7 and 8 were the retired BATCH / BATCHRESULT frames.
+  for (const std::uint8_t type : {7, 8, 9}) {
+    bio::WireWriter w;
+    w.u8(type);
+    EXPECT_THROW(decode_message(sealed(w.take())), bio::WireError)
+        << "type " << int{type};
+  }
 }
 
 TEST(JobCodec, TruncatedJobThrows) {

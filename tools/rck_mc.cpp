@@ -1,4 +1,4 @@
-// rck_mc: bounded model-checking driver for the farm/failover/batch
+// rck_mc: bounded model-checking driver for the farm and failover
 // protocols (see DESIGN.md "Systematic exploration (rck::mc)").
 //
 // Runs rck::mc_explore over small synthetic configurations — a handful of
@@ -49,7 +49,6 @@ struct ConfigSpec {
   std::string name;
   bool ft = false;         ///< fault-tolerant farm (leases, retries)
   bool master_ft = false;  ///< checkpointed master + standby failover
-  std::size_t batch = 1;
   rckskel::ProtocolMutant mutant = rckskel::ProtocolMutant::None;
 };
 
@@ -58,7 +57,6 @@ RunConfig make_config(const ConfigSpec& spec, int slaves,
   RunConfig cfg;
   cfg.with_slaves(slaves)
       .with_cache(cache)
-      .with_batch(spec.batch)
       .with_mc()
       .with_mc_bound(bound)
       .with_mc_label(spec.name)
@@ -177,13 +175,13 @@ int main(int argc, char** argv) {
   bool all = false;
 
   static constexpr std::string_view kConfigs[] = {"plain-farm", "ft",
-                                                  "master-ft", "batch"};
+                                                  "master-ft"};
   static constexpr std::string_view kMutants[] = {
       "none", "drop-lease", "double-grant", "stale-checkpoint"};
   harness::ArgParser cli(
       "rck_mc",
       "Bounded schedule exploration + protocol invariant checking for the "
-      "farm/failover/batch protocols on tiny synthetic datasets.");
+      "farm and failover protocols on tiny synthetic datasets.");
   cli.choice("config", &config_name, kConfigs, "protocol configuration")
       .choice("mutant", &mutant_name, kMutants,
               "seed a known-broken protocol variant (must be caught)")
@@ -197,9 +195,8 @@ int main(int argc, char** argv) {
       .option("witness-dir", &witness_dir,
               "directory for the witnesses --all writes")
       .flag("all", &all,
-            "run the acceptance matrix: clean exploration on plain-farm, "
-            "master-ft and batch; every mutant caught with a replayable "
-            "witness");
+            "run the acceptance matrix: clean exploration on plain-farm "
+            "and master-ft; every mutant caught with a replayable witness");
   try {
     if (!cli.parse(argc, argv)) return 0;
   } catch (const harness::ArgError& e) {
@@ -220,14 +217,13 @@ int main(int argc, char** argv) {
       } matrix[] = {
           {{"plain-farm"}, ""},
           {{"master-ft", true, true}, ""},
-          {{"batch", false, false, 4}, ""},
-          {{"ft-drop-lease", true, false, 1,
+          {{"ft-drop-lease", true, false,
             rckskel::ProtocolMutant::DropLeaseRenewal},
            "no_reexec"},
-          {{"ft-double-grant", true, false, 1,
+          {{"ft-double-grant", true, false,
             rckskel::ProtocolMutant::DoubleGrant},
            "lease_safety"},
-          {{"master-ft-stale-checkpoint", true, true, 1,
+          {{"master-ft-stale-checkpoint", true, true,
             rckskel::ProtocolMutant::StaleCheckpointTakeover},
            "checkpoint_monotonic"},
       };
@@ -244,7 +240,6 @@ int main(int argc, char** argv) {
     spec.name = config_name;
     spec.ft = config_name == "ft" || config_name == "master-ft";
     spec.master_ft = config_name == "master-ft";
-    spec.batch = config_name == "batch" ? 4 : 1;
     if (mutant_name == "drop-lease")
       spec.mutant = rckskel::ProtocolMutant::DropLeaseRenewal;
     else if (mutant_name == "double-grant")
